@@ -7,20 +7,9 @@ from .lang import (
     PlpError,
     Program,
     ProgramError,
-    Var,
     parse_goal,
     parse_program,
-    switch_outcomes,
     term_to_str,
-    unify,
-)
-from .worlds import (
-    extends,
-    forget,
-    mutually_exclusive,
-    partition,
-    pick_value,
-    prob,
 )
 from .evaluator import (
     EvalError,
@@ -30,23 +19,8 @@ from .evaluator import (
     initial_sample,
     sample_eval,
 )
-from .adapt import (
-    AdaptedSource,
-    QStore,
-    adapt,
-    adapted_dist,
-    increment_within_bound,
-    independent_sampler,
-)
-from .mcmc import (
-    ChainConfig,
-    ChainResult,
-    MultiSwitch,
-    SingleSwitch,
-    accept_prob,
-    resample,
-    run_chain,
-)
+from .adapt import AdaptedSource, QStore, independent_sampler
+from .mcmc import ChainConfig, ChainResult, MultiSwitch, SingleSwitch, run_chain
 from .oracle import (
     BranchLimitExceeded,
     ExactResult,
@@ -74,30 +48,16 @@ __all__ = [
     "SingleSwitch",
     "StepLimitExceeded",
     "UnsatisfiableEvidence",
-    "Var",
-    "accept_prob",
-    "adapt",
-    "adapted_dist",
     "bench",
     "exact_conditional",
     "exact_conditional_worlds",
     "exact_prob",
     "exact_prob_worlds",
-    "extends",
-    "forget",
-    "increment_within_bound",
     "independent_sampler",
     "initial_sample",
-    "mutually_exclusive",
     "parse_goal",
     "parse_program",
-    "partition",
-    "pick_value",
-    "prob",
-    "resample",
     "run_chain",
     "sample_eval",
-    "switch_outcomes",
     "term_to_str",
-    "unify",
 ]

@@ -53,18 +53,13 @@ class QStore:
     def q_value(self, key) -> float:
         return self.q.get(key, 1.0)
 
-    def update(self, key, reward, on_update=None):
-        c_before = self.count.get(key, 0)
-        q_before = self.q.get(key, 1.0)
+    def update(self, key, reward):
         t_new = self.total.get(key, 0.0) + reward
-        c_new = c_before + 1
+        c_new = self.count.get(key, 0) + 1
         self.total[key] = t_new
         self.count[key] = c_new
-        q_new = t_new / c_new if self.mode == AVERAGING else reward
-        self.q[key] = q_new
+        self.q[key] = t_new / c_new if self.mode == AVERAGING else reward
         self.version += 1
-        if on_update is not None:
-            on_update(key, reward, c_before, q_before, q_new)
 
     def items(self):
         """(key, Q, count, total) rows for reporting, insertion-ordered."""
@@ -72,7 +67,7 @@ class QStore:
             yield key, qv, self.count[key], self.total[key]
 
 
-def adapt(trace, reward, store: QStore, prog: Program, on_update=None):
+def adapt(trace, reward, store: QStore, prog: Program):
     """Propagate a 0/1 evidence reward backwards through a trace.
 
     The triple at position j is updated with the incoming reward, then the
@@ -84,7 +79,7 @@ def adapt(trace, reward, store: QStore, prog: Program, on_update=None):
     r = reward
     qd = store.q
     for s, i, v in reversed(trace):
-        store.update((s, i, v), r, on_update)
+        store.update((s, i, v), r)
         info = prog.switch_info(s)
         acc = 0.0
         outs = info.outcomes
@@ -124,12 +119,6 @@ def adapted_probs(store: QStore, s, i, info, floor=Q_FLOOR):
     return tuple(w / total for w in weights)
 
 
-def adapted_dist(store: QStore, s, i, prog: Program, floor=Q_FLOOR):
-    """Public helper: adapted distribution of (s, i) as a probability list."""
-    info = prog.switch_info(s)
-    return list(adapted_probs(store, s, i, info, floor))
-
-
 class AdaptedSource:
     """Distribution source backed by a QStore, cached per store version.
 
@@ -167,6 +156,22 @@ def increment_within_bound(q_before, q_after, count_before, slack=1e-12) -> bool
     return abs(q_after - q_before) <= 1.0 / (count_before + 1) + slack
 
 
+class _MonotonicityAudit(QStore):
+    """LastReward store that records every (key, previous, new) reward
+    increase.  In LastReward mode a key's Q is its previous reward."""
+
+    __slots__ = ("violations",)
+
+    def __init__(self):
+        super().__init__(LAST_REWARD)
+        self.violations = []
+
+    def update(self, key, reward):
+        if key in self.count and reward > self.q[key] + 1e-9:
+            self.violations.append((key, self.q[key], reward))
+        super().update(key, reward)
+
+
 class IndependentResult(NamedTuple):
     estimate: float
     samples: int
@@ -183,7 +188,6 @@ def independent_sampler(
     n: int,
     seed=0,
     step_limit=DEFAULT_STEP_LIMIT,
-    monitor=True,
 ) -> IndependentResult:
     """LastReward adaptive *independent* sampling for Markovian program/query
     pairs.
@@ -199,21 +203,11 @@ def independent_sampler(
     """
     if n <= 0:
         raise ValueError("sample count must be positive")
-    store = QStore(mode=LAST_REWARD)
+    store = _MonotonicityAudit()
     source = AdaptedSource(store)
     rng = random.Random(f"{seed}/indep")
     n_e = 0
     n_qe = 0
-    violations = []
-    last_reward = {}
-
-    def on_update(key, reward, c_before, q_before, q_after):
-        prev = last_reward.get(key)
-        if prev is not None and reward > prev + 1e-9:
-            violations.append((key, prev, reward))
-        last_reward[key] = reward
-
-    hook = on_update if monitor else None
     for _ in range(n):
         res_e = sample_eval(prog, evidence, {}, dist=source, rng=rng, step_limit=step_limit)
         if res_e.success:
@@ -227,7 +221,7 @@ def independent_sampler(
             )
             if res_q.success:
                 n_qe += 1
-        adapt(res_e.trace, 1.0 if res_e.success else 0.0, store, prog, on_update=hook)
+        adapt(res_e.trace, 1.0 if res_e.success else 0.0, store, prog)
     if n_e == 0:
         raise EvalError("no evidence-consistent samples; cannot estimate")
-    return IndependentResult(n_qe / n_e, n, n_e, n_qe, violations, store)
+    return IndependentResult(n_qe / n_e, n, n_e, n_qe, store.violations, store)

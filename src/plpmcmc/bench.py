@@ -390,7 +390,6 @@ def gen_chain(length: int = 10, prefix_len: int = 6, seed: int = 0) -> BenchCase
     lines.append("")
     for k in range(1, length):
         lines.append(f"nextk(k{k}, k{k + 1}).")
-    lines.append(f"nextk(k{length}, end).")
     lines.append("")
     lines.append("chainup(K, E) :- msw(step(K), up), chaincont(K, E).")
     lines.append("chaincont(K, K).")

@@ -17,7 +17,7 @@ import sys
 
 from .lang import ParseError, PlpError, ProgramError, parse_goal, parse_program, term_to_str
 from .mcmc import ChainConfig, MultiSwitch, SingleSwitch, run_chain
-from .adapt import AVERAGING, LAST_REWARD, independent_sampler
+from .adapt import independent_sampler
 from .oracle import exact_conditional, exact_conditional_worlds
 from . import bench
 
@@ -132,6 +132,14 @@ def _write_csv(path, rows):
             fh.write(f"{it},{est!r},{int(acc)},{int(e_ok)},{cum_rej},{us}\n")
 
 
+def _print_pooled(estimates):
+    """The `pooled:` summary line of a multi-chain run."""
+    if len(estimates) > 1:
+        pooled = statistics.fmean(estimates)
+        spread = statistics.pstdev(estimates)
+        print(f"pooled: estimate={pooled:.6f} chains={len(estimates)} spread={spread:.6f}")
+
+
 def _chain_csv_path(base: str, k: int) -> str:
     if "." in base.rsplit("/", 1)[-1]:
         stem, ext = base.rsplit(".", 1)
@@ -208,21 +216,12 @@ def _run_mcmc(args, prog, query, evidence, resample) -> int:
             f"rejection_rate={rej:.4f} elapsed_s={result.elapsed_s:.3f}"
         )
     if args.csv is not None:
-        if args.chains == 1:
-            _write_csv(args.csv, chain_rows[0])
-        else:
+        if args.chains > 1:
             # deterministic merge: per-chain files, then chain-order concatenation
             for k, rows in enumerate(chain_rows):
                 _write_csv(_chain_csv_path(args.csv, k), rows)
-            with open(args.csv, "w", encoding="utf-8", newline="") as fh:
-                fh.write(CSV_HEADER + "\n")
-                for rows in chain_rows:
-                    for it, est, acc, e_ok, cum_rej, us in rows:
-                        fh.write(f"{it},{est!r},{int(acc)},{int(e_ok)},{cum_rej},{us}\n")
-    if args.chains > 1:
-        pooled = statistics.fmean(estimates)
-        spread = statistics.pstdev(estimates)
-        print(f"pooled: estimate={pooled:.6f} chains={args.chains} spread={spread:.6f}")
+        _write_csv(args.csv, [row for rows in chain_rows for row in rows])
+    _print_pooled(estimates)
     return 0
 
 
@@ -249,10 +248,7 @@ def _run_independent(args, prog, query, evidence) -> int:
                 "pair is likely not Markovian",
                 file=sys.stderr,
             )
-    if args.chains > 1:
-        pooled = statistics.fmean(estimates)
-        spread = statistics.pstdev(estimates)
-        print(f"pooled: estimate={pooled:.6f} chains={args.chains} spread={spread:.6f}")
+    _print_pooled(estimates)
     return 0
 
 
@@ -340,13 +336,7 @@ def _cmd_qdump(args) -> int:
             prog, query, evidence, args.samples, seed=args.seed, **kwargs
         ).qstore
     else:
-        cfg = ChainConfig(
-            steps=args.samples,
-            adaptive=True,
-            seed=args.seed,
-            q_mode=AVERAGING,
-            **kwargs,
-        )
+        cfg = ChainConfig(steps=args.samples, adaptive=True, seed=args.seed, **kwargs)
         store = run_chain(prog, query, evidence, cfg).qstore
     lines = ["switch,instance,outcome,q,count,total"]
     for (s, i, v), q, c, t in store.items():

@@ -1,7 +1,7 @@
 """First-derivation resolution engine threading an assignment and a trace.
 
-Two entry points share one resolution loop, `_solve`, which differs between
-them only in how `msw` goals and alternatives are handled:
+Two entry points share one resolution loop, `run_first`, which differs
+between them only in how `msw` goals and alternatives are handled:
 
 - `sample_eval`: depth-first, left-to-right, textual-clause-order evaluation
   to the *first* derivation.  `msw(s,i,v)` goals consult the assignment; a
@@ -29,16 +29,10 @@ from __future__ import annotations
 
 from typing import NamedTuple
 
-from .lang import Program, PlpError, Slot, is_ground, term_to_str
+from .lang import _COMPARISON_OPS, Program, PlpError, Slot, is_ground, term_to_str
+from .worlds import sample_outcome
 
 DEFAULT_STEP_LIMIT = 10**6
-
-_COMPARE = {
-    "<": lambda a, b: a < b,
-    "=<": lambda a, b: a <= b,
-    ">": lambda a, b: a > b,
-    ">=": lambda a, b: a >= b,
-}
 
 
 class EvalError(PlpError):
@@ -279,8 +273,8 @@ def _compile_goal(t, entries):
         return (_DISJ, _compile_goal(t[1], entries), _compile_goal(t[2], entries))
     if f == "=" and n == 2:
         return (_UNIFY, t[1], t[2])
-    if f in _COMPARE and n == 2:
-        return (_CMP, _COMPARE[f], t[1], t[2], f)
+    if f in _COMPARISON_OPS and n == 2:
+        return (_CMP, _COMPARISON_OPS[f], t[1], t[2], f)
     aspec = []
     for a in t[1:]:
         if type(a) is Slot:
@@ -307,7 +301,8 @@ def _compile_clause(c, entries):
 
 
 def _compiled(prog: Program):
-    """Per-predicate [clauses, first-arg index] entries, cached on the program.
+    """Per-predicate [clauses, first-arg index] entries, cached on the program
+    until `Program.add_clause` clears them.
 
     Call nodes hold their predicate's entry (None for an unknown predicate).
     The index maps each ground first argument appearing in some clause head to
@@ -316,7 +311,7 @@ def _compiled(prog: Program):
     fallback for arguments matching no ground head.  Predicates with no ground
     first argument anywhere get no index (lookups would be pure overhead).
     """
-    entries = getattr(prog, "_engine_code", None)
+    entries = prog._engine_code
     if entries is None:
         entries = {key: [(), None] for key in prog.clauses}
         for key, clauses in prog.clauses.items():
@@ -377,9 +372,10 @@ def _ground_in(t, frame, what):
 _SWITCH_CP = "msw"
 
 
-def _solve(prog: Program, goal, assignment, picker, step_limit, shuffle=None):
-    """Evaluate `goal` depth-first, left to right; the loop behind both entry
-    points.
+def run_first(prog: Program, goal, assignment, picker,
+              step_limit=DEFAULT_STEP_LIMIT, shuffle=None):
+    """Evaluate `goal` depth-first, left to right, to its first derivation; the
+    raw engine behind both entry points.
 
     Without `shuffle`, a switch instance takes its value from the output
     assignment, else from the input `assignment`, else from `picker(key)`, and
@@ -618,16 +614,6 @@ def _solve(prog: Program, goal, assignment, picker, step_limit, shuffle=None):
             break
 
 
-def run_first(prog: Program, goal, assignment, picker, step_limit=DEFAULT_STEP_LIMIT):
-    """Raw engine: evaluate `goal` to its first derivation.
-
-    `picker(key)` supplies the outcome for a switch instance not found in the
-    accumulated output nor in the input `assignment`.  Returns
-    (success, touched-assignment, trace).
-    """
-    return _solve(prog, goal, assignment, picker, step_limit)
-
-
 def sample_eval(
     prog: Program,
     goal,
@@ -656,19 +642,11 @@ def sample_eval(
             )
 
     else:
-        rand = rng.random
 
         def picker(key):
             info = switch_info(key[0])
             probs = info.probs if dist is None else dist(key[0], key[1], info)
-            r = rand()
-            outs = info.outcomes
-            acc = 0.0
-            for k in range(len(outs) - 1):
-                acc += probs[k]
-                if r < acc:
-                    return outs[k]
-            return outs[-1]
+            return sample_outcome(info.outcomes, probs, rng)
 
     ok, sigma, trace = run_first(prog, goal, assignment, picker, step_limit)
     return EvalResult(ok, sigma, trace)
@@ -685,7 +663,7 @@ def initial_sample(prog: Program, evidence, rng, step_limit=DEFAULT_STEP_LIMIT):
     search exhausts every branch."""
     if not is_ground(evidence):
         raise EvalError(f"evidence must be ground: {term_to_str(evidence)}")
-    ok, sigma, _trace = _solve(prog, evidence, {}, None, step_limit, rng.shuffle)
+    ok, sigma, _trace = run_first(prog, evidence, {}, None, step_limit, shuffle=rng.shuffle)
     if not ok:
         raise UnsatisfiableEvidence(
             f"evidence {term_to_str(evidence)} has no derivation in any world"

@@ -26,6 +26,7 @@ when a switch is only used once.
 from __future__ import annotations
 
 import itertools
+import operator
 import re
 
 
@@ -68,30 +69,10 @@ class Var:
 NIL = "[]"
 
 
-def mk(functor, *args):
-    """Build a compound term; with no args this is just the atom itself."""
-    if not args:
-        return functor
-    return (functor, *args)
-
-
 def is_ground(t) -> bool:
     if type(t) is tuple:
         return all(is_ground(a) for a in t[1:])
     return not isinstance(t, Var)
-
-
-def term_vars(t, acc=None):
-    """Collect the distinct variables of a term, in first-occurrence order."""
-    if acc is None:
-        acc = []
-    if isinstance(t, Var):
-        if t not in acc:
-            acc.append(t)
-    elif type(t) is tuple:
-        for a in t[1:]:
-            term_vars(a, acc)
-    return acc
 
 
 def term_to_str(t) -> str:
@@ -111,13 +92,6 @@ def term_to_str(t) -> str:
         args = ",".join(term_to_str(a) for a in t[1:])
         return f"{t[0]}({args})"
     return str(t)
-
-
-def list_to_term(items):
-    out = NIL
-    for x in reversed(items):
-        out = (".", x, out)
-    return out
 
 
 def term_to_list(t):
@@ -318,10 +292,13 @@ class Program:
         # ground switch term -> probability tuple
         self.dists = dists if dists is not None else {}
         self._switch_cache = {}
+        # the evaluator's compiled clause tables, built on first use
+        self._engine_code = None
 
     def add_clause(self, clause):
         key = functor_arity(clause.head)
         self.clauses.setdefault(key, []).append(clause)
+        self._engine_code = None
 
     def outcomes_for(self, s):
         """Outcome list for a ground switch from its values declaration."""
@@ -354,12 +331,6 @@ class Program:
     def __repr__(self):
         n = sum(len(v) for v in self.clauses.values())
         return f"<Program {n} clauses, {len(self.values_decls)} values, {len(self.dists)} switches>"
-
-
-def switch_outcomes(prog: Program, s):
-    """(outcomes, probabilities) for ground switch `s`; raises ProgramError."""
-    info = prog.switch_info(s)
-    return (list(info.outcomes), list(info.probs))
 
 
 def program_to_str(prog: Program) -> str:
@@ -547,8 +518,15 @@ class _Parser:
 
 
 
-_COMPARISON_OPS = {"<", "=<", ">", ">="}
-_RESERVED_HEADS = {"msw", "true", "=", ",", ";"} | _COMPARISON_OPS
+# The integer comparison builtins, read by both resolution engines (the
+# sampling evaluator and the oracle's world prover).
+_COMPARISON_OPS = {
+    "<": operator.lt,
+    "=<": operator.le,
+    ">": operator.gt,
+    ">=": operator.ge,
+}
+_RESERVED_HEADS = {"msw", "true", "=", ",", ";"} | _COMPARISON_OPS.keys()
 
 
 def _check_no_float(t, line, col, where):
@@ -614,7 +592,7 @@ def parse_program(text: str) -> Program:
                 if not is_ground(o):
                     raise ProgramError(f"values outcomes must be ground: {term_to_str(head)}")
                 _check_no_float(o, line, col, "values outcomes")
-            if len(set(map(_freeze, outs))) != len(outs):
+            if len(set(outs)) != len(outs):
                 raise ProgramError(f"duplicate outcomes in {term_to_str(head)}")
             prog.values_decls.append((pattern, tuple(outs)))
             continue
@@ -631,15 +609,6 @@ def parse_program(text: str) -> Program:
 
     _validate_distributions(prog)
     return prog
-
-
-def _freeze(t):
-    # ground terms are already hashable
-    return t
-
-
-def _has_values_for(prog, s):
-    return any(match_pattern(pat, s) is not None for pat, _ in prog.values_decls)
 
 
 def _validate_distributions(prog):

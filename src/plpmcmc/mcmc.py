@@ -35,7 +35,7 @@ from .evaluator import (
     initial_sample,
     sample_eval,
 )
-from .adapt import AVERAGING, AdaptedSource, QStore, adapt
+from .adapt import AdaptedSource, QStore, adapt
 
 # Defensive floor on the Q-values behind an adaptive chain's proposals.  The
 # adapted probability of an outcome is P(v) * max(Q, floor) renormalised by a
@@ -72,19 +72,18 @@ class ChainConfig:
     adaptive: bool = False
     seed: int = 0
     step_limit: int = DEFAULT_STEP_LIMIT
-    q_mode: str = AVERAGING
-    # Diagnostics / test hooks.  freeze_q runs the adaptive code path without
-    # ever updating the QStore: with the default all-ones store this checks
-    # that the adaptive path degenerates to the non-adaptive one, and with an
-    # injected initial_qstore it runs the chain under a fixed adapted
-    # proposal distribution.
-    freeze_q: bool = False
+    # The Q-store an adaptive chain trains (a fresh averaging QStore when
+    # None); ignored by non-adaptive chains.  The store carries the update
+    # policy: QStore(LAST_REWARD) for last-reward adaptation, or a subclass
+    # whose `update` does nothing for a fixed adapted proposal.
     initial_qstore: QStore | None = None
     trace_dedup: bool = False
     collect_rows: bool = False
-    check_evidence: bool = False
+    # on_iteration(it, current, proposed, a, accepted) after every step:
+    # `current` is the state the step started from, `proposed` the
+    # evidence-consistent proposed state (None when the evidence failed).
+    # States are never mutated once built, so the hook may keep them.
     on_iteration: object = None
-    on_adapt_update: object = None
 
     def __post_init__(self):
         if self.steps <= 0:
@@ -180,7 +179,7 @@ def run_chain(prog: Program, query, evidence, cfg: ChainConfig) -> ChainResult:
     qstore = None
     source = None
     if cfg.adaptive:
-        qstore = cfg.initial_qstore if cfg.initial_qstore is not None else QStore(mode=cfg.q_mode)
+        qstore = cfg.initial_qstore if cfg.initial_qstore is not None else QStore()
         source = AdaptedSource(qstore, floor=DEFENSIVE_FLOOR)
 
     step_limit = cfg.step_limit
@@ -212,7 +211,6 @@ def run_chain(prog: Program, query, evidence, cfg: ChainConfig) -> ChainResult:
     evidence_rejections = 0
     counted = 0
     rows = [] if cfg.collect_rows else None
-    single = type(strategy) is SingleSwitch
 
     for it in range(1, total + 1):
         iter_t0 = time.perf_counter_ns() if rows is not None else 0
@@ -247,36 +245,29 @@ def run_chain(prog: Program, query, evidence, cfg: ChainConfig) -> ChainResult:
             )
             proposed_state = res_e.assignment
             proposed_state.update(res_q.assignment)
-            cur_len = len(state)
             a = accept_prob(state, proposed_state, strategy, prog, adapted=source)
-            if a >= 1.0 or rng_accept.random() < a:
-                was_accepted = True
+            was_accepted = a >= 1.0 or rng_accept.random() < a
+            if on_iter is not None:
+                on_iter(it, state, proposed_state, a, was_accepted)
+            if was_accepted:
                 accepted_count += 1
                 state = proposed_state
                 query_holds = res_q.success
-            if on_iter is not None:
-                on_iter(it, cur_len, len(proposed_state), a, was_accepted, True)
         else:
             evidence_rejections += 1
             if on_iter is not None:
-                on_iter(it, len(state), None, 0.0, False, False)
+                on_iter(it, state, None, 0.0, False)
 
-        if cfg.adaptive and not cfg.freeze_q:
+        if qstore is not None:
             trace = res_e.trace
             if cfg.trace_dedup:
                 trace = _dedup(trace)
-            adapt(trace, 1.0 if res_e.success else 0.0, qstore, prog,
-                  on_update=cfg.on_adapt_update)
+            adapt(trace, 1.0 if res_e.success else 0.0, qstore, prog)
 
         if it > cfg.burn_in:
             counted += 1
             if query_holds:
                 n_success += 1
-
-        if cfg.check_evidence:
-            again = sample_eval(prog, evidence, state, rng=None, step_limit=step_limit)
-            if not again.success:
-                raise AssertionError(f"evidence lost from chain state at iteration {it}")
 
         if rows is not None:
             est = n_success / counted if counted else 0.0

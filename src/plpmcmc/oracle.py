@@ -12,7 +12,8 @@ Two deliberately independent routes:
    enumerate every total assignment of the declared switches and decide the
    goal in each world with a plain, substitution-based SLD prover that treats
    msw as a table lookup.  Shares nothing with the sampling engine beyond the
-   term representation and `unify`.
+   term layer in `lang`: the term representation, `unify` and the comparison
+   builtins.
 
 Both sum with math.fsum, so agreement to 1e-12 is meaningful.
 """
@@ -24,6 +25,7 @@ import math
 from typing import NamedTuple
 
 from .lang import (
+    _COMPARISON_OPS,
     PlpError,
     Program,
     Var,
@@ -205,14 +207,6 @@ def _rename(t, mapping):
     return t
 
 
-_CMP = {
-    "<": lambda a, b: a < b,
-    "=<": lambda a, b: a <= b,
-    ">": lambda a, b: a > b,
-    ">=": lambda a, b: a >= b,
-}
-
-
 def _prove(prog, world, goals, theta, budget):
     """Generator over substitutions proving `goals` in the fixed world."""
     if not goals:
@@ -254,12 +248,12 @@ def _prove(prog, world, goals, theta, budget):
             if theta2 is not None:
                 yield from _prove(prog, world, rest, theta2, budget)
             return
-        if f in _CMP and len(g) == 3:
+        if f in _COMPARISON_OPS and len(g) == 3:
             a = resolve(g[1], theta)
             b = resolve(g[2], theta)
             if type(a) is not int or type(b) is not int:
                 raise EvalError(f"comparison {f} needs ground integers")
-            if _CMP[f](a, b):
+            if _COMPARISON_OPS[f](a, b):
                 yield from _prove(prog, world, rest, theta, budget)
             return
         key = (f, len(g) - 1)

@@ -11,27 +11,6 @@ from __future__ import annotations
 from .lang import Program, ProgramError, term_to_str
 
 
-def pick_value(assignment, s, i, prog: Program, dist=None, rng=None):
-    """Look up or sample the outcome of switch instance (s, i).
-
-    If the assignment already binds (s, i) the stored outcome is returned and
-    the assignment is returned unchanged (no rng draw).  Otherwise an outcome
-    is sampled from `dist` (a callable (s, i, info) -> probability vector; the
-    original distribution when None) and a new, extended assignment is
-    returned.  The result always extends the input.
-    """
-    key = (s, i)
-    v = assignment.get(key)
-    if v is not None:
-        return v, assignment
-    info = prog.switch_info(s)
-    probs = info.probs if dist is None else dist(s, i, info)
-    v = sample_outcome(info.outcomes, probs, rng)
-    out = dict(assignment)
-    out[key] = v
-    return v, out
-
-
 def sample_outcome(outcomes, probs, rng):
     """One categorical draw using a single rng.random() and a CDF walk."""
     r = rng.random()
@@ -41,16 +20,6 @@ def sample_outcome(outcomes, probs, rng):
         if r < acc:
             return outcomes[k]
     return outcomes[-1]
-
-
-def extends(bigger, smaller) -> bool:
-    """True iff `bigger` agrees with `smaller` everywhere `smaller` is defined."""
-    if len(bigger) < len(smaller):
-        return False
-    for key, v in smaller.items():
-        if bigger.get(key, _MISSING) != v:
-            return False
-    return True
 
 
 _MISSING = object()
@@ -68,10 +37,6 @@ def mutually_exclusive(a, b) -> bool:
     return False
 
 
-def compatible(a, b) -> bool:
-    return not mutually_exclusive(a, b)
-
-
 def prob(assignment, prog: Program) -> float:
     """Product of the original outcome probabilities of all entries.
 
@@ -87,42 +52,3 @@ def prob(assignment, prog: Program) -> float:
             )
         p *= pv
     return p
-
-
-def forget(assignment, keys):
-    """Copy of the assignment with the given switch-instance keys removed.
-    Forgetting an absent key is a no-op."""
-    if not keys:
-        return dict(assignment)
-    drop = set(keys)
-    return {k: v for k, v in assignment.items() if k not in drop}
-
-
-def partition(a, b):
-    """Split `a` relative to `b` into (dropped, conflicting, agreeing):
-
-    - dropped: keys of `a` that `b` does not define
-    - conflicting: keys defined in both with different outcomes
-    - agreeing: keys defined in both with equal outcomes
-
-    The three parts are disjoint and their union is `a`; the agreeing part is
-    symmetric in the two arguments.
-    """
-    dropped, conflicting, agreeing = {}, {}, {}
-    for key, v in a.items():
-        w = b.get(key, _MISSING)
-        if w is _MISSING:
-            dropped[key] = v
-        elif w == v:
-            agreeing[key] = v
-        else:
-            conflicting[key] = v
-    return dropped, conflicting, agreeing
-
-
-def assignment_to_str(assignment) -> str:
-    """Debug rendering: one `switch/instance=outcome` line per entry."""
-    lines = []
-    for (s, i), v in assignment.items():
-        lines.append(f"{term_to_str(s)}/{term_to_str(i)}={term_to_str(v)}")
-    return "\n".join(lines)

@@ -24,7 +24,7 @@ from exact_kernel import (
     evidence_rejection_rate,
     stationary_distribution,
 )
-from plpmcmc.adapt import increment_within_bound, independent_sampler
+from plpmcmc.adapt import QStore, increment_within_bound, independent_sampler
 from plpmcmc.bench import (
     fig1,
     gen_bn,
@@ -40,6 +40,15 @@ from plpmcmc.worlds import mutually_exclusive
 N = 100_000
 SEEDS = range(5)
 FIG1_COND = 0.8883691880638446  # P(reach(a,d) | reach(a,e)), oracle-computed
+
+
+class FrozenStore(QStore):
+    """A Q-store that never learns: all Q-values stay at their initial 1."""
+
+    __slots__ = ()
+
+    def update(self, key, reward):
+        pass
 
 
 @pytest.fixture(scope="module")
@@ -121,7 +130,7 @@ def test_04_adaptive_sampler_consistency_and_frozen_identity(fig1_case, fig1_run
         frozen = run_chain(
             case.program, case.query, case.evidence,
             ChainConfig(steps=N, seed=0, strategy=strat, adaptive=True,
-                        freeze_q=True, collect_rows=True),
+                        initial_qstore=FrozenStore(), collect_rows=True),
         )
         assert [r[:5] for r in frozen.rows] == [r[:5] for r in plain.rows], sname
         assert frozen.final_state == plain.final_state
@@ -206,14 +215,20 @@ def test_07_adaptation_increments_diminish(fig1_case):
     updates = []
     violations = []
 
-    def audit(key, reward, c_before, q_before, q_new):
-        updates.append(key)
-        if not increment_within_bound(q_before, q_new, c_before):
-            violations.append((key, c_before, q_before, q_new))
+    class AuditedStore(QStore):
+        __slots__ = ()
+
+        def update(self, key, reward):
+            c_before, q_before = self.count.get(key, 0), self.q_value(key)
+            super().update(key, reward)
+            q_new = self.q[key]
+            updates.append(key)
+            if not increment_within_bound(q_before, q_new, c_before):
+                violations.append((key, c_before, q_before, q_new))
 
     run_chain(
         case.program, case.query, case.evidence,
-        ChainConfig(steps=10_000, seed=0, adaptive=True, on_adapt_update=audit),
+        ChainConfig(steps=10_000, seed=0, adaptive=True, initial_qstore=AuditedStore()),
     )
     assert len(updates) >= 10_000
     assert not violations, violations[:10]
@@ -223,23 +238,28 @@ def test_08_acceptance_probability_identities(fig1_case):
     case = fig1_case
 
     multi_vals = []
+
+    def record_multi(it, cur, prop, a, accepted):
+        if prop is not None:
+            multi_vals.append(a)
+
     run_chain(
         case.program, case.query, case.evidence,
         ChainConfig(
-            steps=20_000, seed=1, strategy=MultiSwitch(0.5),
-            on_iteration=lambda it, lc, lp, a, acc, ok: multi_vals.append(a) if ok else None,
+            steps=20_000, seed=1, strategy=MultiSwitch(0.5), on_iteration=record_multi,
         ),
     )
     assert multi_vals and all(a == 1.0 for a in multi_vals)
 
     single_vals = []
+
+    def record_single(it, cur, prop, a, accepted):
+        if prop is not None:
+            single_vals.append((len(cur), len(prop), a))
+
     run_chain(
         case.program, case.query, case.evidence,
-        ChainConfig(
-            steps=20_000, seed=1,
-            on_iteration=lambda it, lc, lp, a, acc, ok: single_vals.append((lc, lp, a))
-            if ok else None,
-        ),
+        ChainConfig(steps=20_000, seed=1, on_iteration=record_single),
     )
     assert single_vals
     for lc, lp, a in single_vals:

@@ -15,7 +15,6 @@ from plpmcmc.adapt import (
     AdaptedSource,
     QStore,
     adapt,
-    adapted_dist,
     adapted_probs,
     increment_within_bound,
     independent_sampler,
@@ -186,18 +185,23 @@ def test_averaging_store_equals_mean_of_rewards(rewards):
 
 def test_every_update_respects_diminishing_bound():
     rng = random.Random(7)
-    store = QStore()
     seen = []
 
-    def on_update(key, reward, c_before, q_before, q_new):
-        seen.append(increment_within_bound(q_before, q_new, c_before))
+    class Audited(QStore):
+        __slots__ = ()
 
+        def update(self, key, reward):
+            c_before, q_before = self.count.get(key, 0), self.q_value(key)
+            super().update(key, reward)
+            seen.append(increment_within_bound(q_before, self.q[key], c_before))
+
+    store = Audited()
     for _ in range(300):
         trace = [
             (rng.choice("ab"), rng.choice([0, 1]), rng.choice("tf"))
             for _ in range(rng.randrange(1, 5))
         ]
-        adapt(trace, rng.randrange(2), store, AB, on_update=on_update)
+        adapt(trace, rng.randrange(2), store, AB)
     assert seen and all(seen)
 
 
@@ -236,7 +240,7 @@ def test_floored_zero_q():
     store = QStore()
     store.q[("s", 0, "u")] = 0.0
     store.q[("s", 0, "v")] = 1.0
-    dist = adapted_dist(store, "s", 0, prog)
+    dist = adapted_probs(store, "s", 0, prog.switch_info("s"))
     expect0 = (0.9 * Q_FLOOR) / (0.9 * Q_FLOOR + 0.1)
     assert dist[0] == pytest.approx(expect0, rel=1e-12)
     assert dist[0] == pytest.approx(9.0e-6, rel=1e-3)
@@ -251,7 +255,7 @@ def test_adapted_dist_sums_to_one_and_scale_invariant():
         qa, qb = rng.uniform(0.01, 1.0), rng.uniform(0.01, 1.0)
         store.q[("x", 0, "t")] = qa
         store.q[("x", 0, "f")] = qb
-        dist = adapted_dist(store, "x", 0, XY)
+        dist = adapted_probs(store, "x", 0, info)
         assert math.fsum(dist) == pytest.approx(1.0, abs=1e-12)
         # scaling both Q-values by a common factor (staying above the floor)
         # leaves the normalized vector unchanged

@@ -110,6 +110,9 @@ def test_run_multiple_chains_with_csv(prog_path, tmp_path, capsys):
     assert merged[1:31] == (tmp_path / "rows.chain0.csv").read_text(
         encoding="utf-8"
     ).splitlines()[1:]
+    assert merged[31:] == (tmp_path / "rows.chain1.csv").read_text(
+        encoding="utf-8"
+    ).splitlines()[1:]
 
 
 def test_run_markovian(prog_path, capsys):

@@ -12,7 +12,7 @@ from plpmcmc.evaluator import (
     run_first,
     sample_eval,
 )
-from plpmcmc.lang import parse_goal, parse_program
+from plpmcmc.lang import Clause, parse_goal, parse_program
 from plpmcmc.worlds import mutually_exclusive
 
 TWO_COINS = parse_program(
@@ -246,3 +246,10 @@ def test_initial_sample_randomizes_the_witness():
         sigma = initial_sample(TWO_ROUTES, "e", random.Random(seed))
         seen.add(frozenset(sigma.items()))
     assert len(seen) > 1
+
+
+def test_added_clause_is_seen_after_an_evaluation():
+    prog = parse_program("values(x, [t, f]). :- set_sw(x, [0.5, 0.5]). a :- msw(x, t).")
+    assert not sample_eval(prog, "a", {("x", 0): "f"}, rng=None).success
+    prog.add_clause(Clause("a", []))
+    assert sample_eval(prog, "a", {("x", 0): "f"}, rng=None).success

@@ -9,12 +9,10 @@ from plpmcmc.lang import (
     ProgramError,
     Var,
     is_ground,
-    list_to_term,
     match_pattern,
     parse_goal,
     parse_program,
     program_to_str,
-    switch_outcomes,
     term_to_list,
     term_to_str,
     unify,
@@ -32,9 +30,9 @@ def test_parse_minimal_program():
     prog = parse_program(COIN)
     assert ("win", 0) in prog.clauses
     assert prog.dists["coin"] == (0.4, 0.6)
-    outs, probs = switch_outcomes(prog, "coin")
-    assert outs == ["heads", "tails"]
-    assert probs == [0.4, 0.6]
+    info = prog.switch_info("coin")
+    assert info.outcomes == ("heads", "tails")
+    assert info.probs == (0.4, 0.6)
 
 
 def test_terms_are_plain_python_values():
@@ -120,8 +118,7 @@ def test_values_outcomes_must_be_ground_and_distinct():
 
 def test_values_pattern_matching():
     prog = parse_program("values(r(_, _), [t, f]). :- set_sw(r(a,b), [0.9, 0.1]).")
-    outs, _ = switch_outcomes(prog, ("r", "a", "b"))
-    assert outs == ["t", "f"]
+    assert prog.switch_info(("r", "a", "b")).outcomes == ("t", "f")
     with pytest.raises(ProgramError, match="no values declaration"):
         prog.outcomes_for(("q", "a"))
 
@@ -167,7 +164,7 @@ def test_parse_goal_conjunction_and_trailing_dot():
 
 
 def test_lists_round_trip():
-    t = list_to_term(["a", "b", "c"])
+    t = parse_goal("[a,b,c]")
     assert term_to_list(t) == ["a", "b", "c"]
     assert term_to_str(t) == "[a,b,c]"
     assert term_to_list("not_a_list") is None

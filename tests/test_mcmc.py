@@ -20,7 +20,7 @@ from hypothesis import strategies as st
 
 from exact_kernel import build_transition_system, leaf_weight, stationary_distribution
 from plpmcmc.adapt import AdaptedSource, QStore
-from plpmcmc.bench import fig1
+from plpmcmc.bench import fig1, gen_chain
 from plpmcmc.evaluator import EvalError, UnsatisfiableEvidence, sample_eval
 from plpmcmc.lang import Var, parse_goal, parse_program
 from plpmcmc.mcmc import (
@@ -57,6 +57,15 @@ e :- msw(c(2), 1).
 q :- msw(c(1), 1), msw(c(2), 1).
 """
 )
+
+
+class FrozenStore(QStore):
+    """A Q-store that never learns: all Q-values stay at their initial 1."""
+
+    __slots__ = ()
+
+    def update(self, key, reward):
+        pass
 
 
 # -- resample --------------------------------------------------------------
@@ -412,16 +421,20 @@ def test_rows_schema():
 
 
 def test_every_retained_state_satisfies_evidence():
+    # replay the evidence, with no rng, on the state each step retains
     case = fig1()
-    run_chain(
-        case.program, case.query, case.evidence,
-        ChainConfig(steps=300, seed=6, check_evidence=True),
-    )
-    run_chain(
-        case.program, case.query, case.evidence,
-        ChainConfig(steps=300, seed=6, strategy=MultiSwitch(0.5),
-                    adaptive=True, check_evidence=True),
-    )
+    for extra in ({}, {"strategy": MultiSwitch(0.5), "adaptive": True}):
+        retained = []
+
+        def keep(it, cur, prop, a, accepted):
+            retained.append(prop if accepted else cur)
+
+        cfg = ChainConfig(steps=300, seed=6, on_iteration=keep, **extra)
+        run_chain(case.program, case.query, case.evidence, cfg)
+        assert len(retained) == 300
+        for it, state in enumerate(retained, 1):
+            again = sample_eval(case.program, case.evidence, state, rng=None)
+            assert again.success, f"evidence lost from chain state at iteration {it}"
 
 
 def test_final_state_is_exactly_the_touched_sets():
@@ -452,7 +465,7 @@ def test_frozen_all_ones_adaptive_is_bitwise_nonadaptive():
         frozen = run_chain(
             case.program, case.query, case.evidence,
             ChainConfig(steps=2500, seed=3, strategy=strategy, collect_rows=True,
-                        adaptive=True, freeze_q=True),
+                        adaptive=True, initial_qstore=FrozenStore()),
         )
         assert [r[:5] for r in plain.rows] == [r[:5] for r in frozen.rows]
         assert plain.final_state == frozen.final_state
@@ -465,8 +478,8 @@ def test_acceptance_values_match_reported_lengths():
     case = fig1()
     seen = []
 
-    def hook(it, cur_len, prop_len, a, accepted, e_ok):
-        seen.append((cur_len, prop_len, a, e_ok))
+    def hook(it, cur, prop, a, accepted):
+        seen.append((len(cur), None if prop is None else len(prop), a, prop is not None))
 
     run_chain(
         case.program, case.query, case.evidence,
@@ -484,8 +497,8 @@ def test_multi_switch_acceptance_identically_one():
     case = fig1()
     values = []
 
-    def hook(it, cur_len, prop_len, a, accepted, e_ok):
-        if e_ok:
+    def hook(it, cur, prop, a, accepted):
+        if prop is not None:
             values.append(a)
 
     run_chain(
@@ -543,6 +556,22 @@ q :- msw(y, t), msw(z, t).
     assert adap.estimate == pytest.approx(truth, abs=0.02)
     assert adap.evidence_rejections < plain.evidence_rejections / 2
     assert adap.qstore is not None and adap.qstore.count
+
+
+def test_chain_family_runs_for_every_seed_and_strategy():
+    # the witness search shuffles clause order, so it reaches every clause a
+    # derivation can take; none may lead to an undeclared switch
+    for case in (gen_chain(10, 6, seed=16), gen_chain(8, 5, seed=17), gen_chain(10, 6, seed=0)):
+        for strategy in (SingleSwitch(), MultiSwitch(0.5)):
+            for seed in range(5):
+                res = run_chain(
+                    case.program, case.query, case.evidence,
+                    ChainConfig(steps=200, seed=seed, strategy=strategy),
+                )
+                assert 0.0 <= res.estimate <= 1.0
+                assert sample_eval(
+                    case.program, case.evidence, res.final_state, rng=None
+                ).success
 
 
 def test_unsatisfiable_evidence_raises():

@@ -6,17 +6,7 @@ import pytest
 from hypothesis import given, strategies as st
 
 from plpmcmc.lang import parse_program
-from plpmcmc.worlds import (
-    assignment_to_str,
-    compatible,
-    extends,
-    forget,
-    mutually_exclusive,
-    partition,
-    pick_value,
-    prob,
-    sample_outcome,
-)
+from plpmcmc.worlds import mutually_exclusive, prob, sample_outcome
 
 PROG = parse_program(
     """
@@ -26,34 +16,6 @@ values(y, [a, b, c]).
 :- set_sw(y, [0.2, 0.5, 0.3]).
 """
 )
-
-
-def test_pick_value_lookup_leaves_assignment_alone():
-    sigma = {("x", 0): "t"}
-    v, out = pick_value(sigma, "x", 0, PROG, rng=None)
-    assert v == "t"
-    assert out is sigma  # no copy on pure lookup
-
-
-def test_pick_value_fresh_extends():
-    rng = random.Random(7)
-    sigma = {}
-    v, out = pick_value(sigma, "y", 0, PROG, rng=rng)
-    assert sigma == {}  # input untouched
-    assert out == {("y", 0): v}
-    assert v in ("a", "b", "c")
-    assert extends(out, sigma)
-
-
-def test_pick_value_uses_distribution_source():
-    # a source that forces the last outcome regardless of the declared probs
-    def dist(s, i, info):
-        return tuple(0.0 for _ in info.probs[:-1]) + (1.0,)
-
-    rng = random.Random(0)
-    for _ in range(20):
-        v, _ = pick_value({}, "y", 0, PROG, dist=dist, rng=rng)
-        assert v == "c"
 
 
 def test_sample_outcome_cdf_walk():
@@ -84,23 +46,13 @@ def test_sample_outcome_frequencies():
         assert abs(counts[o] / n - p) < 0.01
 
 
-def test_extends():
-    big = {("x", 0): "t", ("y", 0): "a"}
-    assert extends(big, {})
-    assert extends(big, {("x", 0): "t"})
-    assert extends(big, big)
-    assert not extends(big, {("x", 0): "f"})
-    assert not extends({}, {("x", 0): "t"})
-    assert not extends(big, {("z", 0): "t"})
-
-
 def test_mutual_exclusion_and_compatibility():
     a = {("x", 0): "t", ("y", 0): "a"}
     assert mutually_exclusive(a, {("x", 0): "f"})
     assert not mutually_exclusive(a, {("x", 0): "t", ("z", 0): "q"})
     assert not mutually_exclusive(a, {})  # disjoint domains never exclude
-    assert compatible(a, {("y", 0): "a"})
-    assert not compatible(a, {("y", 0): "b"})
+    assert not mutually_exclusive(a, {("y", 0): "a"})
+    assert mutually_exclusive(a, {("y", 0): "b"})
 
 
 def test_prob_is_product_of_entry_probabilities():
@@ -118,55 +70,18 @@ def test_prob_rejects_undeclared_outcome():
         prob({("x", 0): "zzz"}, PROG)
 
 
-def test_forget():
-    sigma = {("x", 0): "t", ("y", 0): "a"}
-    assert forget(sigma, [("x", 0)]) == {("y", 0): "a"}
-    assert forget(sigma, []) == sigma
-    assert forget(sigma, []) is not sigma  # always a copy
-    assert forget(sigma, [("nope", 0)]) == sigma
-
-
-def test_partition_three_way_split():
-    a = {("x", 0): "t", ("y", 0): "a", ("z", 0): "p"}
-    b = {("x", 0): "t", ("y", 0): "b", ("w", 0): "q"}
-    dropped, conflicting, agreeing = partition(a, b)
-    assert dropped == {("z", 0): "p"}
-    assert conflicting == {("y", 0): "a"}
-    assert agreeing == {("x", 0): "t"}
-
-
-def test_assignment_to_str():
-    s = assignment_to_str({(("r", "a", "b"), 0): "t"})
-    assert s == "r(a,b)/0=t"
-
-
 keys = st.sampled_from([("x", 0), ("y", 0), ("z", 0), ("x", 1)])
 vals = st.sampled_from(["t", "f", "a"])
 assignments = st.dictionaries(keys, vals, max_size=4)
 
 
 @given(assignments, assignments)
-def test_partition_reassembles_and_classifies(a, b):
-    dropped, conflicting, agreeing = partition(a, b)
-    assert {**dropped, **conflicting, **agreeing} == a
-    assert set(dropped) | set(conflicting) | set(agreeing) == set(a)
-    assert all(k not in b for k in dropped)
-    assert all(b[k] != v for k, v in conflicting.items())
-    assert all(b[k] == v for k, v in agreeing.items())
-    # exclusion holds exactly when some shared key conflicts
+def test_exclusion_iff_some_shared_key_conflicts(a, b):
+    conflicting = [k for k, v in a.items() if k in b and b[k] != v]
     assert mutually_exclusive(a, b) == bool(conflicting)
-    # and the agreeing part is symmetric
-    assert partition(b, a)[2] == agreeing
 
 
 @given(assignments, assignments)
 def test_exclusion_is_symmetric_and_irreflexive(a, b):
     assert mutually_exclusive(a, b) == mutually_exclusive(b, a)
     assert not mutually_exclusive(a, a)
-    assert compatible(a, b) != mutually_exclusive(a, b)
-
-
-@given(assignments, assignments)
-def test_extends_iff_no_drop_no_conflict(a, b):
-    dropped, conflicting, _ = partition(a, b)
-    assert extends(b, a) == (not dropped and not conflicting)
