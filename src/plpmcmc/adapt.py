@@ -39,7 +39,7 @@ LAST_REWARD = "last"
 class QStore:
     """Per-(switch, instance, outcome) Q-value, cumulative reward and count."""
 
-    __slots__ = ("mode", "q", "total", "count", "version")
+    __slots__ = ("mode", "q", "total", "count")
 
     def __init__(self, mode=AVERAGING):
         if mode not in (AVERAGING, LAST_REWARD):
@@ -48,7 +48,6 @@ class QStore:
         self.q = {}
         self.total = {}
         self.count = {}
-        self.version = 0
 
     def q_value(self, key) -> float:
         return self.q.get(key, 1.0)
@@ -59,7 +58,6 @@ class QStore:
         self.total[key] = t_new
         self.count[key] = c_new
         self.q[key] = t_new / c_new if self.mode == AVERAGING else reward
-        self.version += 1
 
     def items(self):
         """(key, Q, count, total) rows for reporting, insertion-ordered."""
@@ -120,31 +118,21 @@ def adapted_probs(store: QStore, s, i, info, floor=Q_FLOOR):
 
 
 class AdaptedSource:
-    """Distribution source backed by a QStore, cached per store version.
+    """Distribution source backed by a QStore.
 
     Instances are callables with the `(s, i, info) -> probs` signature the
-    evaluator expects for its `dist` argument.
+    evaluator expects for its `dist` argument; each call reads the store as
+    it stands.
     """
 
-    __slots__ = ("store", "floor", "_cache", "_cache_version")
+    __slots__ = ("store", "floor")
 
     def __init__(self, store: QStore, floor=Q_FLOOR):
         self.store = store
         self.floor = floor
-        self._cache = {}
-        self._cache_version = -1
 
     def __call__(self, s, i, info):
-        ver = self.store.version
-        if ver != self._cache_version:
-            self._cache.clear()
-            self._cache_version = ver
-        key = (s, i)
-        probs = self._cache.get(key)
-        if probs is None:
-            probs = adapted_probs(self.store, s, i, info, self.floor)
-            self._cache[key] = probs
-        return probs
+        return adapted_probs(self.store, s, i, info, self.floor)
 
 
 def increment_within_bound(q_before, q_after, count_before, slack=1e-12) -> bool:

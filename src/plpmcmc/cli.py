@@ -44,14 +44,14 @@ def _load_program(path: str):
         raise _Fail(4, f"cannot read program file: {e}")
     try:
         return parse_program(text)
-    except (ParseError, ProgramError) as e:
+    except (ParseError, ProgramError, RecursionError) as e:
         raise _Fail(3, f"cannot parse {path}: {e}")
 
 
 def _parse_goal_arg(text: str, what: str):
     try:
         return parse_goal(text)
-    except ParseError as e:
+    except (ParseError, RecursionError) as e:
         raise _Fail(3, f"cannot parse {what}: {e}")
 
 
@@ -73,7 +73,6 @@ def _build_parser() -> argparse.ArgumentParser:
     run.add_argument("--chains", type=int, default=1)
     run.add_argument("--csv", default=None)
     run.add_argument("--step-limit", type=int, default=None)
-    run.add_argument("--trace-dedup", choices=["on", "off"], default="off")
     run.set_defaults(func=_cmd_run)
 
     exact = sub.add_parser("exact", help="exact conditional by enumeration")
@@ -174,13 +173,13 @@ def _cmd_run(args) -> int:
         ("mode", "independent" if markovian else "mcmc"),
         ("resample", "-" if markovian else resample),
         ("multi_prob", args.multi_prob if resample == "multi" else "-"),
-        ("adapt", args.adapt),
+        # the independent sampler always adapts
+        ("adapt", "on" if markovian else args.adapt),
         ("samples", args.samples),
         ("burnin", args.burnin),
         ("seed", args.seed),
         ("chains", args.chains),
         ("step_limit", step_limit if step_limit is not None else "default"),
-        ("trace_dedup", args.trace_dedup),
     ])
 
     if markovian:
@@ -199,7 +198,6 @@ def _run_mcmc(args, prog, query, evidence, resample) -> int:
             strategy=strategy,
             adaptive=_on(args.adapt),
             seed=args.seed + k,
-            trace_dedup=_on(args.trace_dedup),
             collect_rows=args.csv is not None,
         )
         if args.step_limit is not None:
@@ -358,10 +356,9 @@ def main(argv=None) -> int:
     except _Fail as e:
         print(f"error: {e}", file=sys.stderr)
         return e.code
-    except PlpError as e:
-        print(f"error: {e}", file=sys.stderr)
-        return 4
-    except OSError as e:
+    except (PlpError, OSError, RecursionError) as e:
+        # a RecursionError is input nested deeper than the parser or the
+        # world prover can follow
         print(f"error: {e}", file=sys.stderr)
         return 4
 

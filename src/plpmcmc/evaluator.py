@@ -18,7 +18,10 @@ between them only in how `msw` goals and alternatives are handled:
 
 The engine is iterative (explicit goal stack, choicepoint stack and binding
 trail) so deep derivations do not hit Python's recursion limit.  Programs are
-compiled once into goal nodes (see "Compiled goals" below).  Clause selection
+compiled once into goal nodes (see "Compiled goals" below), and this module is
+the only one that knows that format: `lang.Clause` keeps the parsed head and
+body terms, and `_compile_clause` turns them into templates in which each
+clause variable is a `Slot`, an index into the clause's frame.  Clause selection
 uses first-argument indexing: for a ground first argument only the clauses
 that could match it are tried, in textual order.  Skipped clauses are exactly
 those whose head unification would have failed, so derivation order is
@@ -29,7 +32,7 @@ from __future__ import annotations
 
 from typing import NamedTuple
 
-from .lang import _COMPARISON_OPS, Program, PlpError, Slot, is_ground, term_to_str
+from .lang import _COMPARISON_OPS, Program, PlpError, Var, is_ground, term_to_str
 from .worlds import sample_outcome
 
 DEFAULT_STEP_LIMIT = 10**6
@@ -63,6 +66,18 @@ class Cell:
 
     def __repr__(self):
         return f"<cell {id(self):#x}>" if self.ref is None else repr(self.ref)
+
+
+class Slot:
+    """Placeholder for a clause variable in a compiled clause template."""
+
+    __slots__ = ("i",)
+
+    def __init__(self, i):
+        self.i = i
+
+    def __repr__(self):
+        return f"_S{self.i}"
 
 
 def _deref(t):
@@ -289,15 +304,30 @@ def _compile_goal(t, entries):
 def _compile_clause(c, entries):
     """(head args, variable count, reversed body nodes, frame padding).
 
-    The padding is set only for heads whose arguments are distinct variables:
-    those are numbered 0..arity-1 in order, so the frame is the call's
-    arguments followed by the padding."""
-    head = c.chead
+    The clause's variables become Slots numbered in order of first
+    occurrence, head first.  The padding is set only for heads whose
+    arguments are distinct variables: those are numbered 0..arity-1 in order,
+    so the frame is the call's arguments followed by the padding."""
+    slots = {}
+
+    def template(t):
+        if type(t) is Var:
+            s = slots.get(t)
+            if s is None:
+                s = slots[t] = Slot(len(slots))
+            return s
+        if type(t) is tuple:
+            return (t[0],) + tuple(template(a) for a in t[1:])
+        return t
+
+    head = template(c.head)
     hargs = head[1:] if type(head) is tuple else ()
+    body = [template(b) for b in c.body]
+    nvars = len(slots)
     flat = all(type(a) is Slot and a.i == k for k, a in enumerate(hargs))
-    pad = [None] * (c.nvars - len(hargs)) if flat else None
-    body = tuple(_compile_goal(b, entries) for b in reversed(c.cbody))
-    return (hargs, c.nvars, body, pad)
+    pad = [None] * (nvars - len(hargs)) if flat else None
+    body = tuple(_compile_goal(b, entries) for b in reversed(body))
+    return (hargs, nvars, body, pad)
 
 
 def _compiled(prog: Program):
@@ -318,10 +348,7 @@ def _compiled(prog: Program):
             code = tuple(_compile_clause(c, entries) for c in clauses)
             index = None
             if key[1] > 0 and len(code) > 1:
-                keyed = [
-                    (cc, c.chead[1] if _fixed(c.chead[1]) else None)
-                    for cc, c in zip(code, clauses)
-                ]
+                keyed = [(cc, cc[0][0] if _fixed(cc[0][0]) else None) for cc in code]
                 ground_keys = {k for _, k in keyed if k is not None}
                 if ground_keys:
                     generic = tuple(cc for cc, k in keyed if k is None)

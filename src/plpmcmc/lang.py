@@ -106,8 +106,10 @@ def term_to_list(t):
 
 
 # ---------------------------------------------------------------------------
-# Substitution-based unification (used by the oracle prover and for tests;
-# the sampling evaluator has its own destructive machinery)
+# Substitution-based unification, used by the oracle's world prover and by
+# `Program.outcomes_for` to match `values` patterns against a ground switch
+# (unifying with a ground term is a one-way match).  The sampling evaluator
+# has its own destructive machinery.
 # ---------------------------------------------------------------------------
 
 
@@ -129,11 +131,13 @@ def resolve(t, theta):
 
 
 def occurs(v, t, theta) -> bool:
-    t = walk(t, theta)
-    if t is v:
-        return True
-    if type(t) is tuple:
-        return any(occurs(v, a, theta) for a in t[1:])
+    stack = [t]
+    while stack:
+        t = walk(stack.pop(), theta)
+        if t is v:
+            return True
+        if type(t) is tuple:
+            stack.extend(t[1:])
     return False
 
 
@@ -173,81 +177,21 @@ def unify(t1, t2, theta):
     return out
 
 
-def match_pattern(pattern, ground, binding=None):
-    """One-way match of `pattern` (may contain variables) against a ground term.
-
-    Returns a binding dict or None.  Repeated variables must match equal
-    subterms; used for `values` declaration lookup.
-    """
-    if binding is None:
-        binding = {}
-    stack = [(pattern, ground)]
-    while stack:
-        p, g = stack.pop()
-        if isinstance(p, Var):
-            seen = binding.get(p)
-            if seen is None:
-                binding[p] = g
-            elif seen != g:
-                return None
-            continue
-        if type(p) is tuple:
-            if type(g) is not tuple or len(p) != len(g) or p[0] != g[0]:
-                return None
-            stack.extend(zip(p[1:], g[1:]))
-            continue
-        if p != g or type(p) is not type(g):
-            return None
-    return binding
-
-
 # ---------------------------------------------------------------------------
-# Compiled clauses
+# Clauses and programs
 # ---------------------------------------------------------------------------
-
-
-class Slot:
-    """Placeholder for a clause variable in a compiled template."""
-
-    __slots__ = ("i",)
-
-    def __init__(self, i):
-        self.i = i
-
-    def __repr__(self):
-        return f"_S{self.i}"
 
 
 class Clause:
-    """One program clause.
+    """One program clause: the parsed head and body terms, with Var objects.
+    The evaluator compiles clauses into its own templates; the world prover
+    reads these terms directly."""
 
-    `head`/`body` keep the parsed terms (with Var objects) for pretty-printing
-    and the world-enumeration prover; `chead`/`cbody` are templates where
-    variables are replaced by Slot indices, instantiated cheaply by the
-    resolution engine.
-    """
-
-    __slots__ = ("head", "body", "chead", "cbody", "nvars")
+    __slots__ = ("head", "body")
 
     def __init__(self, head, body):
         self.head = head
         self.body = tuple(body)
-        slots = {}
-
-        def compile_term(t):
-            if isinstance(t, Var):
-                s = slots.get(t)
-                if s is None:
-                    s = Slot(len(slots))
-                    slots[t] = s
-                return s
-            if type(t) is tuple:
-                return (t[0],) + tuple(compile_term(a) for a in t[1:])
-            return t
-
-        self.chead = compile_term(head)
-        self.cbody = tuple(compile_term(b) for b in self.body)
-        self.nvars = len(slots)
 
     def __repr__(self):
         if not self.body:
@@ -302,7 +246,7 @@ class Program:
 
     def outcomes_for(self, s):
         """Outcome list for a ground switch from its values declaration."""
-        hits = [outs for pat, outs in self.values_decls if match_pattern(pat, s) is not None]
+        hits = [outs for pat, outs in self.values_decls if unify(pat, s, {}) is not None]
         if not hits:
             raise ProgramError(f"no values declaration matches switch {term_to_str(s)}")
         if len(hits) > 1:

@@ -77,7 +77,6 @@ class ChainConfig:
     # policy: QStore(LAST_REWARD) for last-reward adaptation, or a subclass
     # whose `update` does nothing for a fixed adapted proposal.
     initial_qstore: QStore | None = None
-    trace_dedup: bool = False
     collect_rows: bool = False
     # on_iteration(it, current, proposed, a, accepted) after every step:
     # `current` is the state the step started from, `proposed` the
@@ -128,32 +127,25 @@ def accept_prob(current, proposed, strategy, prog: Program, adapted=None) -> flo
     (None for the non-adaptive sampler).  Both assignments must already be
     evidence-consistent post-evaluation states.
     """
-    single = type(strategy) is SingleSwitch
-    if adapted is None:
-        if not single:
-            return 1.0
-        lc, lp = len(current), len(proposed)
-        if lp == 0 or lc == 0:
-            return 1.0
-        return min(1.0, lc / lp)
-
-    # Adaptive: per-entry original/adapted probability ratios over the
-    # dropped-and-conflicting parts of each state.  Computed entry-by-entry so
-    # that an unadapted store (P' == P) cancels exactly, not just to rounding.
+    # Original/adapted probability ratios over the dropped-and-conflicting
+    # parts of each state, entry by entry, so that an unadapted store
+    # (P' == P) cancels exactly, not just to rounding.  A non-adaptive chain
+    # keeps ratio 1.0, and 1.0 * lc / lp is exactly lc / lp.
     ratio = 1.0
-    for key, v in current.items():
-        if proposed.get(key) != v:
-            s, i = key
-            info = prog.switch_info(s)
-            idx = info.index[v]
-            ratio *= adapted(s, i, info)[idx] / info.probs[idx]
-    for key, v in proposed.items():
-        if current.get(key) != v:
-            s, i = key
-            info = prog.switch_info(s)
-            idx = info.index[v]
-            ratio *= info.probs[idx] / adapted(s, i, info)[idx]
-    if single:
+    if adapted is not None:
+        for key, v in current.items():
+            if proposed.get(key) != v:
+                s, i = key
+                info = prog.switch_info(s)
+                idx = info.index[v]
+                ratio *= adapted(s, i, info)[idx] / info.probs[idx]
+        for key, v in proposed.items():
+            if current.get(key) != v:
+                s, i = key
+                info = prog.switch_info(s)
+                idx = info.index[v]
+                ratio *= info.probs[idx] / adapted(s, i, info)[idx]
+    if type(strategy) is SingleSwitch:
         lc, lp = len(current), len(proposed)
         if lc > 0 and lp > 0:
             ratio *= lc / lp
@@ -259,10 +251,7 @@ def run_chain(prog: Program, query, evidence, cfg: ChainConfig) -> ChainResult:
                 on_iter(it, state, None, 0.0, False)
 
         if qstore is not None:
-            trace = res_e.trace
-            if cfg.trace_dedup:
-                trace = _dedup(trace)
-            adapt(trace, 1.0 if res_e.success else 0.0, qstore, prog)
+            adapt(res_e.trace, 1.0 if res_e.success else 0.0, qstore, prog)
 
         if it > cfg.burn_in:
             counted += 1
@@ -295,14 +284,3 @@ def run_chain(prog: Program, query, evidence, cfg: ChainConfig) -> ChainResult:
         qstore=qstore,
         final_state=state,
     )
-
-
-def _dedup(trace):
-    seen = set()
-    out = []
-    for triple in trace:
-        key = (triple[0], triple[1])
-        if key not in seen:
-            seen.add(key)
-            out.append(triple)
-    return out

@@ -155,15 +155,15 @@ def exact_conditional(prog: Program, query, evidence,
 # ---------------------------------------------------------------------------
 
 
-def world_universe(prog: Program, instances=(0,)):
-    """The switch-instance keys of a complete world: every switch that has a
-    distribution, crossed with the given instance terms."""
-    return [(s, i) for s in prog.dists for i in instances]
+def world_universe(prog: Program):
+    """The switch-instance keys of a complete world: instance 0 of every
+    switch that has a distribution."""
+    return [(s, 0) for s in prog.dists]
 
 
-def iter_worlds(prog: Program, instances=(0,), limit=DEFAULT_BRANCH_LIMIT):
+def iter_worlds(prog: Program, limit=DEFAULT_BRANCH_LIMIT):
     """Yield (world dict, probability) for every complete world."""
-    keys = world_universe(prog, instances)
+    keys = world_universe(prog)
     infos = [prog.switch_info(s) for s, _ in keys]
     count = 1
     for info in infos:
@@ -282,22 +282,21 @@ def holds_in_world(prog: Program, goal, world, step_budget=200000) -> bool:
     return False
 
 
-def exact_prob_worlds(prog: Program, goal, instances=(0,),
-                      limit=DEFAULT_BRANCH_LIMIT) -> float:
+def exact_prob_worlds(prog: Program, goal, limit=DEFAULT_BRANCH_LIMIT) -> float:
     terms = [
-        p for world, p in iter_worlds(prog, instances, limit)
+        p for world, p in iter_worlds(prog, limit)
         if holds_in_world(prog, goal, world)
     ]
     return math.fsum(terms)
 
 
-def exact_conditional_worlds(prog: Program, query, evidence, instances=(0,),
+def exact_conditional_worlds(prog: Program, query, evidence,
                              limit=DEFAULT_BRANCH_LIMIT) -> ExactResult:
     p_q = []
     p_e = []
     p_qe = []
     count = 0
-    for world, p in iter_worlds(prog, instances, limit):
+    for world, p in iter_worlds(prog, limit):
         count += 1
         q_ok = holds_in_world(prog, query, world)
         e_ok = holds_in_world(prog, evidence, world)

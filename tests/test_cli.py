@@ -131,6 +131,8 @@ def test_run_markovian(prog_path, capsys):
     assert abs(float(m.group(1)) - 0.5) <= 0.05
     assert m.group(3) == "0"
     assert "# mode: independent" in err
+    # the independent sampler always adapts
+    assert "# adapt: on" in err
 
 
 def test_run_usage_errors(prog_path, capsys):
@@ -235,6 +237,47 @@ def test_exact_methods_agree(prog_path, tmp_path, capsys):
     assert lines[0] == "p_query,p_evidence,p_joint,p_conditional,leaf_count"
     row = lines[1].split(",")
     assert float(row[1]) == pytest.approx(0.18, abs=1e-12)
+
+
+DEEP_HEAD = "values(x, [t, f]).\n:- set_sw(x, [0.5, 0.5]).\n"
+
+
+def _list_fact_program(n):
+    items = ",".join(f"a{k}" for k in range(n))
+    return DEEP_HEAD + f"data([{items}]).\nq :- msw(x, t), data(L).\n"
+
+
+def _write(tmp_path, text):
+    p = tmp_path / "deep.plp"
+    p.write_text(text, encoding="utf-8")
+    return str(p)
+
+
+@pytest.mark.parametrize("method", ["tree", "worlds"])
+def test_exact_long_list_fact(method, tmp_path, capsys):
+    path = _write(tmp_path, _list_fact_program(400))
+    assert run_cli(["exact", "--program", path, "--query", "q", "--method", method]) == 0
+    assert parse_exact_output(capsys.readouterr()[0])["p_conditional"] == 0.5
+
+
+def test_too_deep_list_fact_is_one_error_line(tmp_path, capsys):
+    path = _write(tmp_path, _list_fact_program(1000))
+    code = run_cli(["exact", "--program", path, "--query", "q", "--method", "worlds"])
+    out, err = capsys.readouterr()
+    assert code in (3, 4)
+    assert err.count("\n") == 1 and err.startswith("error: ")
+
+
+def test_deep_derivation_is_one_error_line_under_worlds(tmp_path, capsys):
+    rules = "".join(f"d{k} :- d{k + 1}.\n" for k in range(1200))
+    path = _write(tmp_path, DEEP_HEAD + "q :- msw(x, t), d0.\n" + rules + "d1200.\n")
+    assert run_cli(["exact", "--program", path, "--query", "q"]) == 0
+    assert parse_exact_output(capsys.readouterr()[0])["p_conditional"] == 0.5
+    code = run_cli(["exact", "--program", path, "--query", "q", "--method", "worlds"])
+    out, err = capsys.readouterr()
+    assert code == 4
+    assert out == ""
+    assert err.count("\n") == 1 and err.startswith("error: ")
 
 
 # -- genbench --------------------------------------------------------------

@@ -3,13 +3,13 @@
 import pytest
 from hypothesis import given, strategies as st
 
+from plpmcmc.evaluator import _compile_clause
 from plpmcmc.lang import (
     Clause,
     ParseError,
     ProgramError,
     Var,
     is_ground,
-    match_pattern,
     parse_goal,
     parse_program,
     program_to_str,
@@ -208,16 +208,21 @@ def test_unify_distinguishes_int_and_atom():
 
 
 def test_match_pattern_repeated_variables():
-    x = Var("X")
-    assert match_pattern(("r", x, x), ("r", "a", "a")) is not None
-    assert match_pattern(("r", x, x), ("r", "a", "b")) is None
+    # a repeated variable in a values pattern matches only equal subterms
+    prog = parse_program("values(r(X, X), [t, f]). values(r(a, b), [u, v]).")
+    assert prog.outcomes_for(("r", "a", "a")) == ("t", "f")
+    assert prog.outcomes_for(("r", "a", "b")) == ("u", "v")
+    with pytest.raises(ProgramError, match="no values declaration"):
+        prog.outcomes_for(("r", "b", "a"))
 
 
 def test_clause_compilation_slots():
     prog = parse_program("p(X, Y) :- q(X), r(Y, X).")
     (c,) = prog.clauses[("p", 2)]
-    assert c.nvars == 2
     assert repr(c) == "p(X,Y) :- q(X), r(Y,X)."
+    # the evaluator numbers clause variables in order of first occurrence
+    hargs, nvars, _body, pad = _compile_clause(c, {})
+    assert nvars == 2 and [a.i for a in hargs] == [0, 1] and pad == []
 
 
 @st.composite

@@ -20,7 +20,7 @@ from hypothesis import strategies as st
 
 from exact_kernel import build_transition_system, leaf_weight, stationary_distribution
 from plpmcmc.adapt import AdaptedSource, QStore
-from plpmcmc.bench import fig1, gen_chain
+from plpmcmc.bench import fig1, small_benchmarks
 from plpmcmc.evaluator import EvalError, UnsatisfiableEvidence, sample_eval
 from plpmcmc.lang import Var, parse_goal, parse_program
 from plpmcmc.mcmc import (
@@ -510,8 +510,8 @@ def test_multi_switch_acceptance_identically_one():
 
 def test_adaptive_duplicate_consults_and_trace_dedup():
     # two identical clauses re-consult the frozen switch after the first
-    # failure, so a failing evidence evaluation records the key twice; dedup
-    # keeps the first occurrence only
+    # failure, so a failing evidence evaluation records the key twice, and
+    # adaptation rewards each occurrence
     dup = parse_program(
         """
 values(x, [t, f]).
@@ -524,13 +524,6 @@ e :- msw(x, t).
     res = run_chain(dup, q, "e", ChainConfig(steps=300, seed=4, adaptive=True))
     assert res.qstore.count.get(("x", 0, "f"), 0) == 2 * res.evidence_rejections
     assert res.qstore.count.get(("x", 0, "t"), 0) == res.steps - res.evidence_rejections
-
-    res2 = run_chain(
-        dup, q, "e",
-        ChainConfig(steps=300, seed=4, adaptive=True, trace_dedup=True),
-    )
-    assert res2.qstore.count.get(("x", 0, "f"), 0) == res2.evidence_rejections
-    assert res2.qstore.count.get(("x", 0, "t"), 0) == res2.steps - res2.evidence_rejections
 
 
 def test_adaptive_chain_on_conjunctive_evidence():
@@ -559,19 +552,23 @@ q :- msw(y, t), msw(z, t).
 
 
 def test_chain_family_runs_for_every_seed_and_strategy():
-    # the witness search shuffles clause order, so it reaches every clause a
-    # derivation can take; none may lead to an undeclared switch
-    for case in (gen_chain(10, 6, seed=16), gen_chain(8, 5, seed=17), gen_chain(10, 6, seed=0)):
+    # every catalogue program runs under both strategies, with and without
+    # adaptation; the witness search shuffles clause order, so it reaches
+    # every clause a derivation can take, and none may lead to an undeclared
+    # switch or a state the evidence cannot replay
+    for case in small_benchmarks():
         for strategy in (SingleSwitch(), MultiSwitch(0.5)):
-            for seed in range(5):
-                res = run_chain(
-                    case.program, case.query, case.evidence,
-                    ChainConfig(steps=200, seed=seed, strategy=strategy),
-                )
-                assert 0.0 <= res.estimate <= 1.0
-                assert sample_eval(
-                    case.program, case.evidence, res.final_state, rng=None
-                ).success
+            for adaptive in (False, True):
+                for seed in range(3):
+                    res = run_chain(
+                        case.program, case.query, case.evidence,
+                        ChainConfig(steps=200, seed=seed, strategy=strategy,
+                                    adaptive=adaptive),
+                    )
+                    assert 0.0 <= res.estimate <= 1.0, (case.name, seed)
+                    assert sample_eval(
+                        case.program, case.evidence, res.final_state, rng=None
+                    ).success, (case.name, seed)
 
 
 def test_unsatisfiable_evidence_raises():
