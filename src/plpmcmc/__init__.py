@@ -26,8 +26,6 @@ from .oracle import (
     ExactResult,
     exact_conditional,
     exact_conditional_worlds,
-    exact_prob,
-    exact_prob_worlds,
 )
 from . import bench
 
@@ -51,8 +49,6 @@ __all__ = [
     "bench",
     "exact_conditional",
     "exact_conditional_worlds",
-    "exact_prob",
-    "exact_prob_worlds",
     "independent_sampler",
     "initial_sample",
     "parse_goal",

@@ -16,6 +16,7 @@ import statistics
 import sys
 
 from .lang import ParseError, PlpError, ProgramError, parse_goal, parse_program, term_to_str
+from .evaluator import DEFAULT_STEP_LIMIT
 from .mcmc import ChainConfig, MultiSwitch, SingleSwitch, run_chain
 from .adapt import independent_sampler
 from .oracle import exact_conditional, exact_conditional_worlds
@@ -72,7 +73,7 @@ def _build_parser() -> argparse.ArgumentParser:
     run.add_argument("--seed", type=int, default=0)
     run.add_argument("--chains", type=int, default=1)
     run.add_argument("--csv", default=None)
-    run.add_argument("--step-limit", type=int, default=None)
+    run.add_argument("--step-limit", type=int, default=DEFAULT_STEP_LIMIT)
     run.set_defaults(func=_cmd_run)
 
     exact = sub.add_parser("exact", help="exact conditional by enumeration")
@@ -107,7 +108,7 @@ def _build_parser() -> argparse.ArgumentParser:
     qd.add_argument("--samples", type=int, required=True)
     qd.add_argument("--seed", type=int, default=0)
     qd.add_argument("--markovian", choices=["on", "off"], default="off")
-    qd.add_argument("--step-limit", type=int, default=None)
+    qd.add_argument("--step-limit", type=int, default=DEFAULT_STEP_LIMIT)
     qd.add_argument("--out", default=None, help="CSV path (default: stdout)")
     qd.set_defaults(func=_cmd_qdump)
 
@@ -153,6 +154,8 @@ def _cmd_run(args) -> int:
         raise _Fail(2, "--burnin cannot be negative")
     if args.chains <= 0:
         raise _Fail(2, "--chains must be positive")
+    if args.step_limit <= 0:
+        raise _Fail(2, "--step-limit must be positive")
     markovian = _on(args.markovian)
     if markovian and args.resample is not None:
         raise _Fail(2, "--markovian on draws independent samples; --resample does not apply")
@@ -165,7 +168,6 @@ def _cmd_run(args) -> int:
     prog = _load_program(args.program)
     query = _parse_goal_arg(args.query, "query")
     evidence = _parse_goal_arg(args.evidence, "evidence")
-    step_limit = args.step_limit
     _echo_manifest([
         ("program", args.program),
         ("query", args.query),
@@ -179,7 +181,7 @@ def _cmd_run(args) -> int:
         ("burnin", args.burnin),
         ("seed", args.seed),
         ("chains", args.chains),
-        ("step_limit", step_limit if step_limit is not None else "default"),
+        ("step_limit", args.step_limit),
     ])
 
     if markovian:
@@ -198,10 +200,9 @@ def _run_mcmc(args, prog, query, evidence, resample) -> int:
             strategy=strategy,
             adaptive=_on(args.adapt),
             seed=args.seed + k,
+            step_limit=args.step_limit,
             collect_rows=args.csv is not None,
         )
-        if args.step_limit is not None:
-            kwargs["step_limit"] = args.step_limit
         result = run_chain(prog, query, evidence, ChainConfig(**kwargs))
         estimates.append(result.estimate)
         chain_rows.append(result.rows)
@@ -226,11 +227,9 @@ def _run_mcmc(args, prog, query, evidence, resample) -> int:
 def _run_independent(args, prog, query, evidence) -> int:
     estimates = []
     for k in range(args.chains):
-        kwargs = {}
-        if args.step_limit is not None:
-            kwargs["step_limit"] = args.step_limit
         res = independent_sampler(
-            prog, query, evidence, args.samples, seed=args.seed + k, **kwargs
+            prog, query, evidence, args.samples, seed=args.seed + k,
+            step_limit=args.step_limit,
         )
         estimates.append(res.estimate)
         print(
@@ -323,18 +322,18 @@ def _cmd_genbench(args) -> int:
 def _cmd_qdump(args) -> int:
     if args.samples <= 0:
         raise _Fail(2, "--samples must be positive")
+    if args.step_limit <= 0:
+        raise _Fail(2, "--step-limit must be positive")
     prog = _load_program(args.program)
     query = _parse_goal_arg(args.query, "query")
     evidence = _parse_goal_arg(args.evidence, "evidence")
-    kwargs = {}
-    if args.step_limit is not None:
-        kwargs["step_limit"] = args.step_limit
     if _on(args.markovian):
         store = independent_sampler(
-            prog, query, evidence, args.samples, seed=args.seed, **kwargs
+            prog, query, evidence, args.samples, seed=args.seed, step_limit=args.step_limit
         ).qstore
     else:
-        cfg = ChainConfig(steps=args.samples, adaptive=True, seed=args.seed, **kwargs)
+        cfg = ChainConfig(steps=args.samples, adaptive=True, seed=args.seed,
+                          step_limit=args.step_limit)
         store = run_chain(prog, query, evidence, cfg).qstore
     lines = ["switch,instance,outcome,q,count,total"]
     for (s, i, v), q, c, t in store.items():
@@ -357,8 +356,8 @@ def main(argv=None) -> int:
         print(f"error: {e}", file=sys.stderr)
         return e.code
     except (PlpError, OSError, RecursionError) as e:
-        # a RecursionError is input nested deeper than the parser or the
-        # world prover can follow
+        # a RecursionError is a term nested deeper than the parser or the
+        # engines' term walkers can follow
         print(f"error: {e}", file=sys.stderr)
         return 4
 

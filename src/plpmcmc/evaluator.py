@@ -32,7 +32,7 @@ from __future__ import annotations
 
 from typing import NamedTuple
 
-from .lang import _COMPARISON_OPS, Program, PlpError, Var, is_ground, term_to_str
+from .lang import Program, PlpError, Var, is_ground, term_to_str
 from .worlds import sample_outcome
 
 DEFAULT_STEP_LIMIT = 10**6
@@ -248,7 +248,7 @@ def _undo(trail, mark):
 # holds a fresh cell, so a frame revisited after backtracking still reads as
 # the clause's variables did at that point.
 
-_CALL, _MSW, _CONJ, _DISJ, _UNIFY, _CMP, _TRUE, _VAR, _INVALID = range(9)
+_CALL, _MSW, _CONJ, _DISJ, _TRUE, _VAR, _INVALID = range(7)
 _TRUE_NODE = (_TRUE,)
 
 # How a call node reads one argument: a term without clause variables or
@@ -260,7 +260,10 @@ def _fixed(t):
     """True when `t` holds neither clause variables nor engine cells."""
     tt = type(t)
     if tt is tuple:
-        return all(_fixed(a) for a in t[1:])
+        for a in t[1:]:
+            if not _fixed(a):
+                return False
+        return True
     return tt is not Slot and tt is not Cell
 
 
@@ -286,10 +289,6 @@ def _compile_goal(t, entries):
         return (_CONJ, _compile_goal(t[1], entries), _compile_goal(t[2], entries))
     if f == ";":
         return (_DISJ, _compile_goal(t[1], entries), _compile_goal(t[2], entries))
-    if f == "=" and n == 2:
-        return (_UNIFY, t[1], t[2])
-    if f in _COMPARISON_OPS and n == 2:
-        return (_CMP, _COMPARISON_OPS[f], t[1], t[2], f)
     aspec = []
     for a in t[1:]:
         if type(a) is Slot:
@@ -317,7 +316,10 @@ def _compile_clause(c, entries):
                 s = slots[t] = Slot(len(slots))
             return s
         if type(t) is tuple:
-            return (t[0],) + tuple(template(a) for a in t[1:])
+            args = [t[0]]
+            for a in t[1:]:
+                args.append(template(a))
+            return tuple(args)
         return t
 
     head = template(c.head)
@@ -518,30 +520,6 @@ def run_first(prog: Program, goal, assignment, picker,
             cps.append((None, (second, frame, rest), len(trail), len(atrail)))
             goals = (first, frame, rest)
             continue
-        elif kind == _UNIFY:
-            a, b = node[1], node[2]
-            if frame is not None:
-                a = _build_fill(a, frame)
-                b = _build_fill(b, frame)
-            if _unify(a, b, trail):
-                goals = rest
-                continue
-            cl = ()
-            ci = 0
-        elif kind == _CMP:
-            a, b = node[2], node[3]
-            if frame is not None:
-                a = _build_fill(a, frame)
-                b = _build_fill(b, frame)
-            a = _deref(a)
-            b = _deref(b)
-            if type(a) is not int or type(b) is not int:
-                raise EvalError(f"comparison {node[4]} needs ground integers")
-            if node[1](a, b):
-                goals = rest
-                continue
-            cl = ()
-            ci = 0
         elif kind == _TRUE:
             goals = rest
             continue

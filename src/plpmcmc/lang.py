@@ -21,12 +21,16 @@ set_sw probability lists; everywhere else they are a syntax error.
 
 `msw(S,V)` is sugar for `msw(S,0,V)`: the instance argument defaults to 0
 when a switch is only used once.
+
+A clause body is a comma-separated list of goals, and each goal is a call to
+a program predicate, `msw/2` or `msw/3`, `true`, or a parenthesised group of
+goals joined by `,` and `;`.  There is no `=`, no comparison and no
+arithmetic: the tokenizer has no token for them.
 """
 
 from __future__ import annotations
 
 import itertools
-import operator
 import re
 
 
@@ -106,7 +110,8 @@ def term_to_list(t):
 
 
 # ---------------------------------------------------------------------------
-# Substitution-based unification, used by the oracle's world prover and by
+# Substitution-based unification, used by the oracle's world prover to match
+# clause heads and msw outcomes (the language has no `=` goal) and by
 # `Program.outcomes_for` to match `values` patterns against a ground switch
 # (unifying with a ground term is a one-way match).  The sampling evaluator
 # has its own destructive machinery.
@@ -461,16 +466,7 @@ class _Parser:
                 )
 
 
-
-# The integer comparison builtins, read by both resolution engines (the
-# sampling evaluator and the oracle's world prover).
-_COMPARISON_OPS = {
-    "<": operator.lt,
-    "=<": operator.le,
-    ">": operator.gt,
-    ">=": operator.ge,
-}
-_RESERVED_HEADS = {"msw", "true", "=", ",", ";"} | _COMPARISON_OPS.keys()
+_RESERVED_HEADS = {"msw", "true", ",", ";"}
 
 
 def _check_no_float(t, line, col, where):

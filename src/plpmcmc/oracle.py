@@ -2,18 +2,17 @@
 
 Two deliberately independent routes:
 
-1. Evaluation-tree enumeration (`exact_prob`, `exact_conditional`): re-run the
+1. Evaluation-tree enumeration (`exact_conditional`): re-run the
    first-derivation evaluator with a scripted outcome chooser and walk every
    fresh-pick branch depth-first.  The evaluator's outputs are pairwise
    mutually exclusive, so summing prob() over success leaves is exact, and
    success + failure leaves together sum to 1.
 
-2. Complete-world enumeration (`exact_prob_worlds`, `exact_conditional_worlds`):
-   enumerate every total assignment of the declared switches and decide the
-   goal in each world with a plain, substitution-based SLD prover that treats
-   msw as a table lookup.  Shares nothing with the sampling engine beyond the
-   term layer in `lang`: the term representation, `unify` and the comparison
-   builtins.
+2. Complete-world enumeration (`exact_conditional_worlds`): enumerate every
+   total assignment of the declared switches and decide the goal in each
+   world with a plain, substitution-based SLD prover that treats msw as a
+   table lookup.  Shares nothing with the sampling engine beyond the term
+   layer in `lang`: the term representation and `unify`.
 
 Both sum with math.fsum, so agreement to 1e-12 is meaningful.
 """
@@ -25,7 +24,6 @@ import math
 from typing import NamedTuple
 
 from .lang import (
-    _COMPARISON_OPS,
     PlpError,
     Program,
     Var,
@@ -35,10 +33,11 @@ from .lang import (
     unify,
     walk,
 )
-from .evaluator import DEFAULT_STEP_LIMIT, EvalError, run_first
+from .evaluator import EvalError, StepLimitExceeded, run_first
 from .worlds import prob
 
 DEFAULT_BRANCH_LIMIT = 10**6
+WORLD_STEP_LIMIT = 200000
 
 
 class BranchLimitExceeded(PlpError):
@@ -58,8 +57,7 @@ class ExactResult(NamedTuple):
 # ---------------------------------------------------------------------------
 
 
-def iter_eval_leaves(prog: Program, goal, base, branch_limit=DEFAULT_BRANCH_LIMIT,
-                     step_limit=DEFAULT_STEP_LIMIT):
+def iter_eval_leaves(prog: Program, goal, base, branch_limit=DEFAULT_BRANCH_LIMIT):
     """Yield (success, assignment) for every leaf of the evaluator's decision
     tree rooted at `base`.  Deterministic left-to-right order.
 
@@ -84,7 +82,7 @@ def iter_eval_leaves(prog: Program, goal, base, branch_limit=DEFAULT_BRANCH_LIMI
             log.append((idx, len(info.outcomes)))
             return info.outcomes[idx]
 
-        ok, sigma, _trace = run_first(prog, goal, base, picker, step_limit)
+        ok, sigma, _trace = run_first(prog, goal, base, picker)
         leaves += 1
         if leaves > branch_limit:
             raise BranchLimitExceeded(
@@ -99,20 +97,8 @@ def iter_eval_leaves(prog: Program, goal, base, branch_limit=DEFAULT_BRANCH_LIMI
         script = [idx for idx, _n in log[:-1]] + [log[-1][0] + 1]
 
 
-def exact_prob(prog: Program, goal, branch_limit=DEFAULT_BRANCH_LIMIT,
-               step_limit=DEFAULT_STEP_LIMIT) -> float:
-    """Exact success probability of a ground goal by branch enumeration."""
-    terms = [
-        prob(sigma, prog)
-        for ok, sigma in iter_eval_leaves(prog, goal, {}, branch_limit, step_limit)
-        if ok
-    ]
-    return math.fsum(terms)
-
-
 def exact_conditional(prog: Program, query, evidence,
-                      branch_limit=DEFAULT_BRANCH_LIMIT,
-                      step_limit=DEFAULT_STEP_LIMIT) -> ExactResult:
+                      branch_limit=DEFAULT_BRANCH_LIMIT) -> ExactResult:
     """Exact ExactResult for cond(query | evidence).
 
     The joint explores evidence first, then continues the query enumeration
@@ -121,12 +107,12 @@ def exact_conditional(prog: Program, query, evidence,
     p_e_terms = []
     p_joint_terms = []
     leaf_count = 0
-    for ok_e, sig_e in iter_eval_leaves(prog, evidence, {}, branch_limit, step_limit):
+    for ok_e, sig_e in iter_eval_leaves(prog, evidence, {}, branch_limit):
         leaf_count += 1
         if not ok_e:
             continue
         p_e_terms.append(prob(sig_e, prog))
-        for ok_q, sig_q in iter_eval_leaves(prog, query, sig_e, branch_limit, step_limit):
+        for ok_q, sig_q in iter_eval_leaves(prog, query, sig_e, branch_limit):
             leaf_count += 1
             if ok_q:
                 union = dict(sig_e)
@@ -137,7 +123,7 @@ def exact_conditional(prog: Program, query, evidence,
         raise EvalError(f"evidence {term_to_str(evidence)} is unsatisfiable")
     p_joint = math.fsum(p_joint_terms)
     p_query_terms = []
-    for ok_q, sig_q in iter_eval_leaves(prog, query, {}, branch_limit, step_limit):
+    for ok_q, sig_q in iter_eval_leaves(prog, query, {}, branch_limit):
         leaf_count += 1
         if ok_q:
             p_query_terms.append(prob(sig_q, prog))
@@ -161,15 +147,16 @@ def world_universe(prog: Program):
     return [(s, 0) for s in prog.dists]
 
 
-def iter_worlds(prog: Program, limit=DEFAULT_BRANCH_LIMIT):
-    """Yield (world dict, probability) for every complete world."""
+def iter_worlds(prog: Program):
+    """Yield (world dict, probability) for every complete world, or raise
+    BranchLimitExceeded first if they number over DEFAULT_BRANCH_LIMIT."""
     keys = world_universe(prog)
     infos = [prog.switch_info(s) for s, _ in keys]
     count = 1
     for info in infos:
         count *= len(info.outcomes)
-        if count > limit:
-            raise BranchLimitExceeded(f"world count exceeds {limit}")
+        if count > DEFAULT_BRANCH_LIMIT:
+            raise BranchLimitExceeded(f"world count exceeds {DEFAULT_BRANCH_LIMIT}")
     for combo in itertools.product(*(range(len(i.outcomes)) for i in infos)):
         world = {}
         p = 1.0
@@ -177,22 +164,6 @@ def iter_worlds(prog: Program, limit=DEFAULT_BRANCH_LIMIT):
             world[key] = info.outcomes[k]
             p *= info.probs[k]
         yield world, p
-
-
-class _Budget:
-    __slots__ = ("left",)
-
-    def __init__(self, n):
-        self.left = n
-
-    def spend(self):
-        self.left -= 1
-        if self.left < 0:
-            raise StepLimitExceededInWorld("world prover exceeded its step budget")
-
-
-class StepLimitExceededInWorld(PlpError):
-    pass
 
 
 def _rename(t, mapping):
@@ -203,100 +174,88 @@ def _rename(t, mapping):
             mapping[t] = v
         return v
     if type(t) is tuple:
-        return (t[0],) + tuple(_rename(a, mapping) for a in t[1:])
+        args = [t[0]]
+        for a in t[1:]:
+            args.append(_rename(a, mapping))
+        return tuple(args)
     return t
 
 
-def _prove(prog, world, goals, theta, budget):
-    """Generator over substitutions proving `goals` in the fixed world."""
-    if not goals:
-        yield theta
-        return
-    budget.spend()
-    g = walk(goals[0], theta)
-    rest = goals[1:]
-    if isinstance(g, Var):
-        raise EvalError("unbound goal in world prover")
-    if g == "true":
-        yield from _prove(prog, world, rest, theta, budget)
-        return
-    if type(g) is tuple:
-        f = g[0]
-        if f == "msw" and len(g) == 4:
-            s = resolve(g[1], theta)
-            inst = resolve(g[2], theta)
-            if not is_ground(s) or not is_ground(inst):
-                raise EvalError("msw switch/instance not ground in world prover")
-            v = world.get((s, inst))
-            if v is None:
-                raise EvalError(
-                    f"world does not cover switch instance {term_to_str(s)}/{term_to_str(inst)}"
+def holds_in_world(prog: Program, goal, world) -> bool:
+    """Does the ground goal have a derivation in this complete world?
+
+    Depth-first, left-to-right SLD resolution with msw read from `world`.
+    Goal lists are linked (goal, rest) pairs, and the stack holds the
+    (goals, theta) alternatives still to try, the first clause on top, so a
+    proof may be as deep as memory allows.  Each selected goal is one step;
+    past WORLD_STEP_LIMIT steps the search raises StepLimitExceeded.
+    """
+    stack = [((goal, None), {})]
+    steps = 0
+    while stack:
+        goals, theta = stack.pop()
+        while goals is not None:
+            steps += 1
+            if steps > WORLD_STEP_LIMIT:
+                raise StepLimitExceeded(
+                    f"world prover exceeded its step budget of {WORLD_STEP_LIMIT} steps"
                 )
-            theta2 = unify(g[3], v, theta)
-            if theta2 is not None:
-                yield from _prove(prog, world, rest, theta2, budget)
-            return
-        if f == "," and len(g) == 3:
-            yield from _prove(prog, world, (g[1], g[2]) + rest, theta, budget)
-            return
-        if f == ";" and len(g) == 3:
-            yield from _prove(prog, world, (g[1],) + rest, theta, budget)
-            yield from _prove(prog, world, (g[2],) + rest, theta, budget)
-            return
-        if f == "=" and len(g) == 3:
-            theta2 = unify(g[1], g[2], theta)
-            if theta2 is not None:
-                yield from _prove(prog, world, rest, theta2, budget)
-            return
-        if f in _COMPARISON_OPS and len(g) == 3:
-            a = resolve(g[1], theta)
-            b = resolve(g[2], theta)
-            if type(a) is not int or type(b) is not int:
-                raise EvalError(f"comparison {f} needs ground integers")
-            if _COMPARISON_OPS[f](a, b):
-                yield from _prove(prog, world, rest, theta, budget)
-            return
-        key = (f, len(g) - 1)
-    elif isinstance(g, str):
-        key = (g, 0)
-    else:
-        raise EvalError(f"invalid goal: {g!r}")
-    clauses = prog.clauses.get(key)
-    if clauses is None:
-        raise EvalError(f"unknown predicate {key[0]}/{key[1]}")
-    for c in clauses:
-        mapping = {}
-        head = _rename(c.head, mapping)
-        theta2 = unify(g, head, theta)
-        if theta2 is None:
-            continue
-        body = tuple(_rename(b, mapping) for b in c.body)
-        yield from _prove(prog, world, body + rest, theta2, budget)
-
-
-def holds_in_world(prog: Program, goal, world, step_budget=200000) -> bool:
-    """Does the ground goal have a derivation in this complete world?"""
-    budget = _Budget(step_budget)
-    for _ in _prove(prog, world, (goal,), {}, budget):
-        return True
+            g, goals = goals
+            g = walk(g, theta)
+            if isinstance(g, Var):
+                raise EvalError("unbound goal in world prover")
+            if g == "true":
+                continue
+            if type(g) is tuple:
+                f = g[0]
+                if f == "msw" and len(g) == 4:
+                    s = resolve(g[1], theta)
+                    inst = resolve(g[2], theta)
+                    if not is_ground(s) or not is_ground(inst):
+                        raise EvalError("msw switch/instance not ground in world prover")
+                    v = world.get((s, inst))
+                    if v is None:
+                        raise EvalError(f"world does not cover switch instance "
+                                        f"{term_to_str(s)}/{term_to_str(inst)}")
+                    theta = unify(g[3], v, theta)
+                    if theta is None:
+                        break
+                    continue
+                if f == "," and len(g) == 3:
+                    goals = (g[1], (g[2], goals))
+                    continue
+                if f == ";" and len(g) == 3:
+                    stack.append(((g[2], goals), theta))
+                    goals = (g[1], goals)
+                    continue
+                key = (f, len(g) - 1)
+            elif isinstance(g, str):
+                key = (g, 0)
+            else:
+                raise EvalError(f"invalid goal: {g!r}")
+            clauses = prog.clauses.get(key)
+            if clauses is None:
+                raise EvalError(f"unknown predicate {key[0]}/{key[1]}")
+            for c in reversed(clauses):
+                mapping = {}
+                theta2 = unify(g, _rename(c.head, mapping), theta)
+                if theta2 is not None:
+                    body = goals
+                    for b in reversed(c.body):
+                        body = (_rename(b, mapping), body)
+                    stack.append((body, theta2))
+            break
+        else:
+            return True
     return False
 
 
-def exact_prob_worlds(prog: Program, goal, limit=DEFAULT_BRANCH_LIMIT) -> float:
-    terms = [
-        p for world, p in iter_worlds(prog, limit)
-        if holds_in_world(prog, goal, world)
-    ]
-    return math.fsum(terms)
-
-
-def exact_conditional_worlds(prog: Program, query, evidence,
-                             limit=DEFAULT_BRANCH_LIMIT) -> ExactResult:
+def exact_conditional_worlds(prog: Program, query, evidence) -> ExactResult:
     p_q = []
     p_e = []
     p_qe = []
     count = 0
-    for world, p in iter_worlds(prog, limit):
+    for world, p in iter_worlds(prog):
         count += 1
         q_ok = holds_in_world(prog, query, world)
         e_ok = holds_in_world(prog, evidence, world)

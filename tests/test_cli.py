@@ -148,6 +148,10 @@ def test_run_usage_errors(prog_path, capsys):
          "--markovian", "on", "--resample", "single"],
         ["run", "--program", prog_path, "--query", "q", "--samples", "10",
          "--markovian", "on", "--csv", "x.csv"],
+        ["run", "--program", prog_path, "--query", "q", "--samples", "10",
+         "--step-limit", "0"],
+        ["run", "--program", prog_path, "--query", "q", "--samples", "10",
+         "--step-limit", "-5"],
     ]
     for argv in cases:
         assert run_cli(argv) == 2, argv
@@ -253,11 +257,18 @@ def _write(tmp_path, text):
     return str(p)
 
 
+@pytest.mark.parametrize("size", [400, 800])
 @pytest.mark.parametrize("method", ["tree", "worlds"])
-def test_exact_long_list_fact(method, tmp_path, capsys):
-    path = _write(tmp_path, _list_fact_program(400))
+def test_exact_long_list_fact(method, size, tmp_path, capsys):
+    path = _write(tmp_path, _list_fact_program(size))
     assert run_cli(["exact", "--program", path, "--query", "q", "--method", method]) == 0
     assert parse_exact_output(capsys.readouterr()[0])["p_conditional"] == 0.5
+
+
+def test_chain_runs_on_long_list_fact():
+    prog = parse_program(_list_fact_program(800))
+    result = run_chain(prog, "q", "true", ChainConfig(steps=200, seed=0))
+    assert 0.0 < result.estimate < 1.0
 
 
 def test_too_deep_list_fact_is_one_error_line(tmp_path, capsys):
@@ -268,16 +279,22 @@ def test_too_deep_list_fact_is_one_error_line(tmp_path, capsys):
     assert err.count("\n") == 1 and err.startswith("error: ")
 
 
-def test_deep_derivation_is_one_error_line_under_worlds(tmp_path, capsys):
+@pytest.mark.parametrize("method", ["tree", "worlds"])
+def test_deep_derivation(method, tmp_path, capsys):
     rules = "".join(f"d{k} :- d{k + 1}.\n" for k in range(1200))
     path = _write(tmp_path, DEEP_HEAD + "q :- msw(x, t), d0.\n" + rules + "d1200.\n")
-    assert run_cli(["exact", "--program", path, "--query", "q"]) == 0
+    assert run_cli(["exact", "--program", path, "--query", "q", "--method", method]) == 0
     assert parse_exact_output(capsys.readouterr()[0])["p_conditional"] == 0.5
+
+
+def test_looping_program_hits_the_world_step_budget(tmp_path, capsys):
+    path = _write(tmp_path, DEEP_HEAD + "loop :- loop.\nq :- msw(x, t), loop.\n")
     code = run_cli(["exact", "--program", path, "--query", "q", "--method", "worlds"])
     out, err = capsys.readouterr()
     assert code == 4
     assert out == ""
     assert err.count("\n") == 1 and err.startswith("error: ")
+    assert "step budget" in err
 
 
 # -- genbench --------------------------------------------------------------
@@ -367,3 +384,9 @@ def test_qdump_usage_error(prog_path, capsys):
         "qdump", "--program", prog_path, "--query", "q", "--samples", "0",
     ]) == 2
     capsys.readouterr()
+    assert run_cli([
+        "qdump", "--program", prog_path, "--query", "q", "--samples", "10",
+        "--step-limit", "0",
+    ]) == 2
+    _out, err = capsys.readouterr()
+    assert err.strip().splitlines()[-1] == "error: --step-limit must be positive"

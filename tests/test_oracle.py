@@ -12,8 +12,6 @@ from plpmcmc.oracle import (
     BranchLimitExceeded,
     exact_conditional,
     exact_conditional_worlds,
-    exact_prob,
-    exact_prob_worlds,
     holds_in_world,
     iter_eval_leaves,
     iter_worlds,
@@ -36,14 +34,15 @@ either :- msw(y, t).
 
 
 def test_single_switch_probability():
-    assert exact_prob(TINY, ("msw", "x", 0, "t")) == pytest.approx(0.3, abs=1e-15)
-    assert exact_prob_worlds(TINY, ("msw", "x", 0, "t")) == pytest.approx(0.3, abs=1e-15)
+    goal = ("msw", "x", 0, "t")
+    assert exact_conditional(TINY, goal, "true").p_query == pytest.approx(0.3, abs=1e-15)
+    assert exact_conditional_worlds(TINY, goal, "true").p_query == pytest.approx(0.3, abs=1e-15)
 
 
 def test_hand_computed_conjunction_and_disjunction():
-    assert exact_prob(TINY, "both") == pytest.approx(0.18, abs=1e-15)
+    assert exact_conditional(TINY, "both", "true").p_query == pytest.approx(0.18, abs=1e-15)
     # P(x=t or y=t) = 0.3 + 0.7*0.6
-    assert exact_prob(TINY, "either") == pytest.approx(0.72, abs=1e-15)
+    assert exact_conditional(TINY, "either", "true").p_query == pytest.approx(0.72, abs=1e-15)
     res = exact_conditional(TINY, "both", "either")
     assert res.p_evidence == pytest.approx(0.72, abs=1e-15)
     assert res.p_joint == pytest.approx(0.18, abs=1e-15)
@@ -53,15 +52,16 @@ def test_hand_computed_conjunction_and_disjunction():
 def test_deterministic_goals_are_zero_or_one():
     # r(a) fails by clause-head mismatch rather than by being undefined
     prog = parse_program("p. q :- r(a). r(b).")
-    assert exact_prob(prog, "p") == 1.0
-    assert exact_prob(prog, "q") == 0.0
+    assert exact_conditional(prog, "p", "true").p_query == 1.0
+    assert exact_conditional(prog, "q", "true").p_query == 0.0
 
 
 def test_fig1_published_value():
     case = fig1()
-    p = exact_prob(case.program, case.evidence)
+    p = exact_conditional(case.program, case.evidence, "true").p_query
     assert p == pytest.approx(0.02882, abs=5e-6)
-    assert exact_prob(case.program, case.query) == pytest.approx(0.7592, abs=1e-12)
+    p_query = exact_conditional(case.program, case.query, "true").p_query
+    assert p_query == pytest.approx(0.7592, abs=1e-12)
 
 
 def test_fig1_conditional_frozen_values():
@@ -112,7 +112,7 @@ def test_eval_leaves_are_deterministically_ordered():
 def test_branch_limit():
     case = fig1()
     with pytest.raises(BranchLimitExceeded):
-        exact_prob(case.program, case.evidence, branch_limit=5)
+        exact_conditional(case.program, case.evidence, "true", branch_limit=5)
 
 
 def test_unsatisfiable_evidence_is_an_error():
@@ -139,6 +139,17 @@ def test_holds_in_world():
     assert holds_in_world(TINY, "both", w_tt)
     assert not holds_in_world(TINY, "both", w_ft)
     assert holds_in_world(TINY, "either", w_ft)
+
+
+def test_world_count_guard():
+    # 2^20 worlds exceed DEFAULT_BRANCH_LIMIT; the count is checked before
+    # the first world is decided
+    decls = "".join(
+        f"values(s{k}, [t, f]).\n:- set_sw(s{k}, [0.5, 0.5]).\n" for k in range(20)
+    )
+    prog = parse_program(decls + "q :- msw(s0, t).\n")
+    with pytest.raises(BranchLimitExceeded, match="world count"):
+        exact_conditional_worlds(prog, "q", "true")
 
 
 def test_conditional_of_query_equal_to_evidence_is_one():
