@@ -135,15 +135,6 @@ class AdaptedSource:
         return adapted_probs(self.store, s, i, info, self.floor)
 
 
-def increment_within_bound(q_before, q_after, count_before, slack=1e-12) -> bool:
-    """Diminishing-adaptation check: |dQ| <= 1/(c+1) for an averaging update.
-
-    The identity dQ = (reward - Q) / (c+1) with rewards and Q in [0,1] gives
-    the bound exactly in real arithmetic; `slack` absorbs float rounding.
-    """
-    return abs(q_after - q_before) <= 1.0 / (count_before + 1) + slack
-
-
 class _MonotonicityAudit(QStore):
     """LastReward store that records every (key, previous, new) reward
     increase.  In LastReward mode a key's Q is its previous reward."""

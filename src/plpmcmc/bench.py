@@ -7,6 +7,7 @@ by both oracles.
 
 from __future__ import annotations
 
+import itertools
 import random
 import string
 from dataclasses import dataclass, field
@@ -172,7 +173,7 @@ def gen_bn(rows: int, cols: int, evidence_count: int, seed: int = 0) -> BenchCas
     cpt = {}  # (node, parent-values tuple) -> P(t)
     for r, c in nodes:
         ps = parents(r, c)
-        for combo in _valuations(len(ps), vals):
+        for combo in itertools.product(vals, repeat=len(ps)):
             pt = round(rng.uniform(0.05, 0.95), 2)
             cpt[((r, c), combo)] = pt
             args = ",".join((node(r, c),) + combo)
@@ -218,13 +219,6 @@ def gen_bn(rows: int, cols: int, evidence_count: int, seed: int = 0) -> BenchCas
         evidence_text=evidence_text,
         seed=seed,
     )
-
-
-def _valuations(n, vals):
-    if n == 0:
-        return [()]
-    rest = _valuations(n - 1, vals)
-    return [(v,) + tail for v in vals for tail in rest]
 
 
 # ---------------------------------------------------------------------------

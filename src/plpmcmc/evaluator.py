@@ -197,36 +197,32 @@ def _unify_head(g, t, frame, trail):
     return True
 
 
-def _resolve_ground(t, what):
-    """Fully dereference to a ground term; raises EvalError on unbound cells."""
-    t = _deref(t)
+def _ground(t, frame=None):
+    """The ground term `t` denotes, its clause variables read through `frame`,
+    or None when a variable in it is unbound.  `t` itself is returned when
+    nothing in it needs rewriting."""
     tt = type(t)
-    if tt is Cell:
-        raise EvalError(f"{what} is not ground")
-    if tt is tuple:
-        return (t[0],) + tuple(_resolve_ground(a, what) for a in t[1:])
-    return t
-
-
-def _resolve_key(t):
-    """Dereference to a ground term for index lookup, or None if not ground."""
-    while type(t) is Cell:
-        r = t.ref
-        if r is None:
-            return None
-        t = r
-    if type(t) is not tuple:
+    if tt is Slot:
+        t = frame[t.i]
+        tt = type(t)
+    while tt is Cell:
+        t = t.ref
+        tt = type(t)
+    if tt is not tuple:
         return t
-    args = []
+    args = [t[0]]
     same = True
     for a in t[1:]:
-        ra = _resolve_key(a)
-        if ra is None:
-            return None
-        if ra is not a:
-            same = False
-        args.append(ra)
-    return t if same else (t[0], *args)
+        ta = type(a)
+        if ta is tuple or ta is Slot or ta is Cell:
+            g = _ground(a, frame)
+            if g is None:
+                return None
+            if g is not a:
+                same = False
+            a = g
+        args.append(a)
+    return t if same else tuple(args)
 
 
 def _undo(trail, mark):
@@ -246,7 +242,10 @@ def _undo(trail, mark):
 # distinct variables, the common case, is matched by copying `xs` into the new
 # frame.  A frame entry that is first filled after the frame was made always
 # holds a fresh cell, so a frame revisited after backtracking still reads as
-# the clause's variables did at that point.
+# the clause's variables did at that point.  Only two places need a ground
+# term, and both get it from `_ground`: the switch key of an msw node whose
+# switch or instance holds variables, and a call's first argument looked up
+# in its predicate's index.
 
 _CALL, _MSW, _CONJ, _DISJ, _TRUE, _VAR, _INVALID = range(7)
 _TRUE_NODE = (_TRUE,)
@@ -366,33 +365,6 @@ def _compiled(prog: Program):
     return entries
 
 
-def _ground_in(t, frame, what):
-    """The ground term a goal-node argument denotes; raises EvalError when a
-    variable in it is unbound."""
-    tt = type(t)
-    if tt is tuple:
-        args = [t[0]]
-        for a in t[1:]:
-            ta = type(a)
-            if ta is Slot:
-                a = frame[a.i]
-                while type(a) is Cell:
-                    a = a.ref
-                if a is None:
-                    raise EvalError(f"{what} is not ground")
-                if type(a) is tuple:
-                    a = _resolve_ground(a, what)
-            elif ta is tuple or ta is Cell:
-                a = _ground_in(a, frame, what)
-            args.append(a)
-        return tuple(args)
-    if tt is Slot:
-        t = frame[t.i]
-        if t is None:
-            raise EvalError(f"{what} is not ground")
-    return _resolve_ground(t, what)
-
-
 # ---------------------------------------------------------------------------
 # The resolution loop
 # ---------------------------------------------------------------------------
@@ -461,7 +433,7 @@ def run_first(prog: Program, goal, assignment, picker,
                 else:
                     xs.append(_build_fill(a, frame))
             if index is not None:
-                k1 = _resolve_key(xs[0])
+                k1 = _ground(xs[0])
                 if k1 is not None:
                     cl = index[0].get(k1, index[1])
             if shuffle is not None and len(cl) > 1:
@@ -473,8 +445,12 @@ def run_first(prog: Program, goal, assignment, picker,
         elif kind == _MSW:
             skey = node[4]
             if skey is None:
-                s = _ground_in(node[1], frame, "msw switch name")
-                inst = _ground_in(node[2], frame, "msw instance")
+                s = _ground(node[1], frame)
+                if s is None:
+                    raise EvalError("msw switch name is not ground")
+                inst = _ground(node[2], frame)
+                if inst is None:
+                    raise EvalError("msw instance is not ground")
                 skey = (s, inst)
             else:
                 s = node[1]

@@ -74,9 +74,14 @@ NIL = "[]"
 
 
 def is_ground(t) -> bool:
-    if type(t) is tuple:
-        return all(is_ground(a) for a in t[1:])
-    return not isinstance(t, Var)
+    stack = [t]
+    while stack:
+        t = stack.pop()
+        if type(t) is tuple:
+            stack.extend(t[1:])
+        elif isinstance(t, Var):
+            return False
+    return True
 
 
 def term_to_str(t) -> str:
@@ -220,26 +225,25 @@ def functor_arity(t):
 class SwitchInfo:
     """Resolved outcome list and distribution for one ground switch."""
 
-    __slots__ = ("outcomes", "probs", "index", "prob_of")
+    __slots__ = ("outcomes", "probs", "index")
 
     def __init__(self, outcomes, probs):
         self.outcomes = tuple(outcomes)
         self.probs = tuple(probs)
         self.index = {v: k for k, v in enumerate(self.outcomes)}
-        self.prob_of = dict(zip(self.outcomes, self.probs))
 
 
 class Program:
     """A parsed program: clauses indexed by functor/arity, switch declarations
     and switch distributions."""
 
-    def __init__(self, clauses=None, values_decls=None, dists=None):
+    def __init__(self):
         # (functor, arity) -> [Clause]
-        self.clauses = clauses if clauses is not None else {}
+        self.clauses = {}
         # [(pattern term, outcomes tuple)]
-        self.values_decls = values_decls if values_decls is not None else []
+        self.values_decls = []
         # ground switch term -> probability tuple
-        self.dists = dists if dists is not None else {}
+        self.dists = {}
         self._switch_cache = {}
         # the evaluator's compiled clause tables, built on first use
         self._engine_code = None
@@ -469,14 +473,6 @@ class _Parser:
 _RESERVED_HEADS = {"msw", "true", ",", ";"}
 
 
-def _check_no_float(t, line, col, where):
-    if type(t) is float:
-        raise ParseError(f"float literal not allowed in {where}", line, col)
-    if type(t) is tuple:
-        for a in t[1:]:
-            _check_no_float(a, line, col, where)
-
-
 def _normalize_msw(t):
     """Rewrite msw/2 goals to msw/3 with instance 0, recursively through
     control constructs."""
@@ -531,7 +527,6 @@ def parse_program(text: str) -> Program:
             for o in outs:
                 if not is_ground(o):
                     raise ProgramError(f"values outcomes must be ground: {term_to_str(head)}")
-                _check_no_float(o, line, col, "values outcomes")
             if len(set(outs)) != len(outs):
                 raise ProgramError(f"duplicate outcomes in {term_to_str(head)}")
             prog.values_decls.append((pattern, tuple(outs)))
@@ -542,9 +537,6 @@ def parse_program(text: str) -> Program:
             raise ParseError("set_sw must be written as a directive:  :- set_sw(...)", line, col)
         if name in _RESERVED_HEADS:
             raise ProgramError(f"cannot define clauses for builtin {name!r}")
-        _check_no_float(head, line, col, "clause heads")
-        for b in body:
-            _check_no_float(b, line, col, "clause bodies")
         prog.add_clause(Clause(head, [_normalize_msw(b) for b in body]))
 
     _validate_distributions(prog)

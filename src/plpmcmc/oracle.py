@@ -52,6 +52,17 @@ class ExactResult(NamedTuple):
     leaf_count: int
 
 
+def _exact_result(q_terms, e_terms, qe_terms, leaf_count, evidence) -> ExactResult:
+    """Sum each route's probability terms of the query, evidence and joint
+    successes into an ExactResult."""
+    p_evidence = math.fsum(e_terms)
+    if p_evidence == 0.0:
+        raise EvalError(f"evidence {term_to_str(evidence)} is unsatisfiable")
+    p_joint = math.fsum(qe_terms)
+    return ExactResult(math.fsum(q_terms), p_evidence, p_joint, p_joint / p_evidence,
+                       leaf_count)
+
+
 # ---------------------------------------------------------------------------
 # Oracle 1: exhaustive re-execution of the sampling evaluator
 # ---------------------------------------------------------------------------
@@ -118,22 +129,12 @@ def exact_conditional(prog: Program, query, evidence,
                 union = dict(sig_e)
                 union.update(sig_q)
                 p_joint_terms.append(prob(union, prog))
-    p_evidence = math.fsum(p_e_terms)
-    if p_evidence == 0.0:
-        raise EvalError(f"evidence {term_to_str(evidence)} is unsatisfiable")
-    p_joint = math.fsum(p_joint_terms)
     p_query_terms = []
     for ok_q, sig_q in iter_eval_leaves(prog, query, {}, branch_limit):
         leaf_count += 1
         if ok_q:
             p_query_terms.append(prob(sig_q, prog))
-    return ExactResult(
-        p_query=math.fsum(p_query_terms),
-        p_evidence=p_evidence,
-        p_joint=p_joint,
-        p_conditional=p_joint / p_evidence,
-        leaf_count=leaf_count,
-    )
+    return _exact_result(p_query_terms, p_e_terms, p_joint_terms, leaf_count, evidence)
 
 
 # ---------------------------------------------------------------------------
@@ -265,14 +266,4 @@ def exact_conditional_worlds(prog: Program, query, evidence) -> ExactResult:
             p_e.append(p)
             if q_ok:
                 p_qe.append(p)
-    p_evidence = math.fsum(p_e)
-    if p_evidence == 0.0:
-        raise EvalError(f"evidence {term_to_str(evidence)} is unsatisfiable")
-    p_joint = math.fsum(p_qe)
-    return ExactResult(
-        p_query=math.fsum(p_q),
-        p_evidence=p_evidence,
-        p_joint=p_joint,
-        p_conditional=p_joint / p_evidence,
-        leaf_count=count,
-    )
+    return _exact_result(p_q, p_e, p_qe, count, evidence)

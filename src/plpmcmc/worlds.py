@@ -45,10 +45,10 @@ def prob(assignment, prog: Program) -> float:
     p = 1.0
     for (s, _i), v in assignment.items():
         info = prog.switch_info(s)
-        pv = info.prob_of.get(v)
-        if pv is None:
+        k = info.index.get(v)
+        if k is None:
             raise ProgramError(
                 f"outcome {term_to_str(v)} is not declared for switch {term_to_str(s)}"
             )
-        p *= pv
+        p *= info.probs[k]
     return p

@@ -24,7 +24,7 @@ from exact_kernel import (
     evidence_rejection_rate,
     stationary_distribution,
 )
-from plpmcmc.adapt import QStore, increment_within_bound, independent_sampler
+from plpmcmc.adapt import QStore, independent_sampler
 from plpmcmc.bench import (
     fig1,
     gen_bn,
@@ -36,6 +36,7 @@ from plpmcmc.evaluator import sample_eval
 from plpmcmc.mcmc import ChainConfig, MultiSwitch, SingleSwitch, run_chain
 from plpmcmc.oracle import exact_conditional, exact_conditional_worlds
 from plpmcmc.worlds import mutually_exclusive
+from test_adapt import increment_within_bound
 
 N = 100_000
 SEEDS = range(5)

@@ -16,7 +16,6 @@ from plpmcmc.adapt import (
     QStore,
     adapt,
     adapted_probs,
-    increment_within_bound,
     independent_sampler,
 )
 from plpmcmc.evaluator import EvalError
@@ -180,6 +179,15 @@ def test_averaging_store_equals_mean_of_rewards(rewards):
     assert store.q[("a", 0, "t")] == pytest.approx(
         sum(rewards) / len(rewards), abs=1e-12
     )
+
+
+def increment_within_bound(q_before, q_after, count_before, slack=1e-12) -> bool:
+    """Diminishing-adaptation check: |dQ| <= 1/(c+1) for an averaging update.
+
+    The identity dQ = (reward - Q) / (c+1) with rewards and Q in [0,1] gives
+    the bound exactly in real arithmetic; `slack` absorbs float rounding.
+    """
+    return abs(q_after - q_before) <= 1.0 / (count_before + 1) + slack
 
 
 def test_every_update_respects_diminishing_bound():

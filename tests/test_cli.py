@@ -265,6 +265,15 @@ def test_exact_long_list_fact(method, size, tmp_path, capsys):
     assert parse_exact_output(capsys.readouterr()[0])["p_conditional"] == 0.5
 
 
+def test_long_list_query(tmp_path, capsys):
+    path = _write(tmp_path, DEEP_HEAD + "q(_) :- msw(x, t).\n")
+    query = "q([" + ",".join(f"a{k}" for k in range(600)) + "])"
+    assert run_cli(["exact", "--program", path, "--query", query, "--method", "tree"]) == 0
+    assert parse_exact_output(capsys.readouterr()[0])["p_conditional"] == 0.5
+    assert run_cli(["run", "--program", path, "--query", query, "--samples", "200"]) == 0
+    assert 0.0 < float(CHAIN_LINE.search(capsys.readouterr()[0]).group(1)) < 1.0
+
+
 def test_chain_runs_on_long_list_fact():
     prog = parse_program(_list_fact_program(800))
     result = run_chain(prog, "q", "true", ChainConfig(steps=200, seed=0))

@@ -166,10 +166,13 @@ def test_msw_switch_must_resolve_to_ground():
 values(q(_), [t, f]).
 :- set_sw(q(a), [0.5, 0.5]).
 b :- msw(q(X), t).
+c :- msw(q(a), f(I), t).
 """
     )
-    with pytest.raises(EvalError, match="msw switch name"):
+    with pytest.raises(EvalError, match="msw switch name is not ground"):
         sample_eval(prog, "b", {}, rng=random.Random(0))
+    with pytest.raises(EvalError, match="msw instance is not ground"):
+        sample_eval(prog, "c", {}, rng=random.Random(0))
 
 
 def test_step_limit():

@@ -104,6 +104,10 @@ def test_float_literals_only_in_set_sw_lists():
         parse_program("p(0.5).")
     with pytest.raises(ParseError, match="float"):
         parse_program("p :- q(1.5).")
+    with pytest.raises(ParseError, match="float"):
+        parse_program("values(c, [a, 0.5]).")
+    with pytest.raises(ParseError, match="float"):
+        parse_program("p(f(g(0.5))).")
     # integers are fine anywhere
     prog = parse_program("p(2) :- q(3).")
     assert ("p", 1) in prog.clauses
@@ -171,6 +175,14 @@ def test_lists_round_trip():
     # improper list tail rendering
     v = Var("T")
     assert term_to_str((".", "a", v)) == "[a|T]"
+
+
+def test_long_list_fact_loads():
+    items = ",".join(f"a{k}" for k in range(5000))
+    prog = parse_program(f"data([{items}]).")
+    (clause,) = prog.clauses[("data", 1)]
+    assert len(term_to_list(clause.head[1])) == 5000
+    assert is_ground(clause.head)
 
 
 def test_term_to_str_round_trips_through_parse_goal():

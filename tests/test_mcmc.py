@@ -9,6 +9,7 @@ supposed to target.  That pins down the kernel to numerical precision instead
 of relying on statistical tolerance.
 """
 
+import hashlib
 import math
 import random
 from collections import Counter
@@ -21,7 +22,7 @@ from hypothesis import strategies as st
 from exact_kernel import build_transition_system, leaf_weight, stationary_distribution
 from plpmcmc.adapt import AdaptedSource, QStore
 from plpmcmc.bench import fig1, small_benchmarks
-from plpmcmc.evaluator import EvalError, UnsatisfiableEvidence, sample_eval
+from plpmcmc.evaluator import EvalError, UnsatisfiableEvidence, initial_sample, sample_eval
 from plpmcmc.lang import Var, parse_goal, parse_program
 from plpmcmc.mcmc import (
     DEFENSIVE_FLOOR,
@@ -472,6 +473,42 @@ def test_frozen_all_ones_adaptive_is_bitwise_nonadaptive():
         assert plain.estimate == frozen.estimate
         assert plain.accepted == frozen.accepted
         assert plain.evidence_rejections == frozen.evidence_rejections
+
+
+# Seeded outputs pinned as the first 16 hex digits of a sha256 over their
+# repr: a change meant to leave the sampler's behaviour alone must keep them.
+FIG1_DIGESTS = {
+    ("single", False): "60a7554bd8873791",
+    ("single", True): "9e635d40c8279876",
+    ("multi", False): "c88e2f8cf42c5640",
+    ("multi", True): "b55cbfe11684d52c",
+}
+STRATEGIES = {"single": SingleSwitch(), "multi": MultiSwitch(0.5)}
+
+
+def _digest(x):
+    return hashlib.sha256(repr(x).encode()).hexdigest()[:16]
+
+
+@pytest.mark.parametrize(("strategy", "adaptive"), list(FIG1_DIGESTS))
+def test_seeded_fig1_chains_are_pinned(strategy, adaptive):
+    case = fig1()
+    res = run_chain(
+        case.program, case.query, case.evidence,
+        ChainConfig(steps=20000, seed=0, strategy=STRATEGIES[strategy],
+                    adaptive=adaptive, collect_rows=True),
+    )
+    digest = _digest(([r[:5] for r in res.rows], res.final_state, res.estimate))
+    assert digest == FIG1_DIGESTS[strategy, adaptive]
+
+
+def test_seeded_initial_witnesses_are_pinned():
+    witnesses = [
+        list(initial_sample(c.program, c.evidence, random.Random(seed)).items())
+        for c in small_benchmarks()
+        for seed in range(10)
+    ]
+    assert _digest(witnesses) == "0ee9fc9c9b3b7ea8"
 
 
 def test_acceptance_values_match_reported_lengths():
