@@ -21,9 +21,10 @@ trail) so deep derivations do not hit Python's recursion limit.  Programs are
 compiled once into goal nodes (see "Compiled goals" below), and this module is
 the only one that knows that format: `lang.Clause` keeps the parsed head and
 body terms, and `_compile_clause` turns them into templates in which each
-clause variable is a `Slot`, an index into the clause's frame.  Clause selection
-uses first-argument indexing: for a ground first argument only the clauses
-that could match it are tried, in textual order.  Skipped clauses are exactly
+clause variable is a `Slot`, an index into the clause's frame; one unifier,
+`_unify`, serves both runtime terms and clause heads.  Clause selection uses
+first-argument indexing: for a ground first argument only the clauses that
+could match it are tried, in textual order.  Skipped clauses are exactly
 those whose head unification would have failed, so derivation order is
 unchanged.
 """
@@ -151,52 +152,6 @@ def _build_fill(t, frame):
     return (t[0],) + tuple(_build_fill(a, frame) for a in t[1:])
 
 
-def _unify_head(g, t, frame, trail):
-    """Unify a runtime term against a clause-head template without building it.
-
-    First slot occurrences capture the (dereferenced) goal subterm directly in
-    `frame` — untrailed, since a failed frame is simply discarded.  Goal-side
-    cell bindings are trailed as usual.
-    """
-    stack = [(g, t)]
-    while stack:
-        x, t = stack.pop()
-        while type(x) is Cell and x.ref is not None:
-            x = x.ref
-        tt = type(t)
-        if tt is Slot:
-            v = frame[t.i]
-            if v is None:
-                frame[t.i] = x
-                continue
-            if _unify(x, v, trail):
-                continue
-            return False
-        if tt is tuple:
-            tx = type(x)
-            if tx is tuple:
-                if len(x) != len(t) or x[0] != t[0]:
-                    return False
-                stack.extend(zip(x[1:], t[1:]))
-                continue
-            if tx is Cell:
-                built = _build_fill(t, frame)
-                if _occurs(x, built):
-                    return False
-                x.ref = built
-                trail.append(x)
-                continue
-            return False
-        if type(x) is Cell:
-            x.ref = t
-            trail.append(x)
-            continue
-        if x == t and type(x) is type(t):
-            continue
-        return False
-    return True
-
-
 def _ground(t, frame=None):
     """The ground term `t` denotes, its clause variables read through `frame`,
     or None when a variable in it is unbound.  `t` itself is returned when
@@ -240,12 +195,15 @@ def _undo(trail, mark):
 # frame only when it is selected.  A call node resolves its arguments once
 # (`xs`), and every candidate clause head is unified against them; a head of
 # distinct variables, the common case, is matched by copying `xs` into the new
-# frame.  A frame entry that is first filled after the frame was made always
-# holds a fresh cell, so a frame revisited after backtracking still reads as
-# the clause's variables did at that point.  Only two places need a ground
-# term, and both get it from `_ground`: the switch key of an msw node whose
-# switch or instance holds variables, and a call's first argument looked up
-# in its predicate's index.
+# frame.  Any other head binds each variable argument to its `xs` entry and
+# unifies each compound argument with its entry by `_unify`, taking the
+# argument as it is when fixed (no clause variable in it) and as `_build_fill`
+# instantiates it otherwise.  A frame entry that is first filled after the
+# frame was made always holds a fresh cell, so a frame revisited after
+# backtracking still reads as the clause's variables did at that point.  Only
+# two places need a ground term, and both get it from `_ground`: the switch
+# key of an msw node whose switch or instance holds variables, and a call's
+# first argument looked up in its predicate's index.
 
 _CALL, _MSW, _CONJ, _DISJ, _TRUE, _VAR, _INVALID = range(7)
 _TRUE_NODE = (_TRUE,)
@@ -257,13 +215,15 @@ _ARG_CONST, _ARG_SLOT, _ARG_BUILD = range(3)
 
 def _fixed(t):
     """True when `t` holds neither clause variables nor engine cells."""
-    tt = type(t)
-    if tt is tuple:
-        for a in t[1:]:
-            if not _fixed(a):
-                return False
-        return True
-    return tt is not Slot and tt is not Cell
+    stack = [t]
+    while stack:
+        t = stack.pop()
+        tt = type(t)
+        if tt is tuple:
+            stack.extend(t[1:])
+        elif tt is Slot or tt is Cell:
+            return False
+    return True
 
 
 def _compile_goal(t, entries):
@@ -300,7 +260,7 @@ def _compile_goal(t, entries):
 
 
 def _compile_clause(c, entries):
-    """(head args, variable count, reversed body nodes, frame padding).
+    """(head args, fixed flags, variable count, reversed body nodes, padding).
 
     The clause's variables become Slots numbered in order of first
     occurrence, head first.  The padding is set only for heads whose
@@ -309,17 +269,25 @@ def _compile_clause(c, entries):
     slots = {}
 
     def template(t):
-        if type(t) is Var:
-            s = slots.get(t)
-            if s is None:
-                s = slots[t] = Slot(len(slots))
-            return s
-        if type(t) is tuple:
-            args = [t[0]]
-            for a in t[1:]:
-                args.append(template(a))
-            return tuple(args)
-        return t
+        # Pre-order walk, so Slots are numbered left to right; a list holding
+        # a compound term marks where its converted arguments are collected.
+        out = []
+        stack = [t]
+        while stack:
+            t = stack.pop()
+            if type(t) is tuple:
+                stack.append([t])
+                stack.extend(reversed(t[1:]))
+            elif type(t) is Var:
+                if t not in slots:
+                    slots[t] = Slot(len(slots))
+                out.append(slots[t])
+            elif type(t) is list:
+                k = len(out) - len(t[0]) + 1
+                out[k:] = [(t[0][0], *out[k:])]
+            else:
+                out.append(t)
+        return out[0]
 
     head = template(c.head)
     hargs = head[1:] if type(head) is tuple else ()
@@ -328,7 +296,7 @@ def _compile_clause(c, entries):
     flat = all(type(a) is Slot and a.i == k for k, a in enumerate(hargs))
     pad = [None] * (nvars - len(hargs)) if flat else None
     body = tuple(_compile_goal(b, entries) for b in reversed(body))
-    return (hargs, nvars, body, pad)
+    return (hargs, tuple(_fixed(a) for a in hargs), nvars, body, pad)
 
 
 def _compiled(prog: Program):
@@ -349,7 +317,7 @@ def _compiled(prog: Program):
             code = tuple(_compile_clause(c, entries) for c in clauses)
             index = None
             if key[1] > 0 and len(code) > 1:
-                keyed = [(cc, cc[0][0] if _fixed(cc[0][0]) else None) for cc in code]
+                keyed = [(cc, cc[0][0] if cc[1][0] else None) for cc in code]
                 ground_keys = {k for _, k in keyed if k is not None}
                 if ground_keys:
                     generic = tuple(cc for cc, k in keyed if k is None)
@@ -519,7 +487,7 @@ def run_first(prog: Program, goal, assignment, picker,
         while True:
             n = len(cl)
             while ci < n:
-                hargs, nvars, body, pad = cl[ci]
+                hargs, fixed, nvars, body, pad = cl[ci]
                 ci += 1
                 if pad is not None:
                     frame = xs + pad
@@ -540,7 +508,7 @@ def run_first(prog: Program, goal, assignment, picker,
                             if _unify(x, v, trail):
                                 continue
                         elif tt is tuple:
-                            if _unify_head(x, t, frame, trail):
+                            if _unify(t if fixed[k] else _build_fill(t, frame), x, trail):
                                 continue
                         elif type(x) is Cell:
                             x.ref = t

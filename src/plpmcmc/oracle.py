@@ -41,7 +41,7 @@ WORLD_STEP_LIMIT = 200000
 
 
 class BranchLimitExceeded(PlpError):
-    """The evaluation tree (or world count) is larger than the given budget."""
+    """The evaluation tree (or world count) is larger than DEFAULT_BRANCH_LIMIT."""
 
 
 class ExactResult(NamedTuple):
@@ -68,13 +68,14 @@ def _exact_result(q_terms, e_terms, qe_terms, leaf_count, evidence) -> ExactResu
 # ---------------------------------------------------------------------------
 
 
-def iter_eval_leaves(prog: Program, goal, base, branch_limit=DEFAULT_BRANCH_LIMIT):
+def iter_eval_leaves(prog: Program, goal, base):
     """Yield (success, assignment) for every leaf of the evaluator's decision
     tree rooted at `base`.  Deterministic left-to-right order.
 
     Each leaf is produced by a full scripted re-run: the k-th fresh pick takes
     the outcome index dictated by the current script (first outcome when the
     script runs out), and the script odometer then advances depth-first.
+    Raises BranchLimitExceeded after DEFAULT_BRANCH_LIMIT leaves.
     """
     if not is_ground(goal):
         raise EvalError(f"goal must be ground: {term_to_str(goal)}")
@@ -95,9 +96,9 @@ def iter_eval_leaves(prog: Program, goal, base, branch_limit=DEFAULT_BRANCH_LIMI
 
         ok, sigma, _trace = run_first(prog, goal, base, picker)
         leaves += 1
-        if leaves > branch_limit:
+        if leaves > DEFAULT_BRANCH_LIMIT:
             raise BranchLimitExceeded(
-                f"evaluation tree for {term_to_str(goal)} exceeds {branch_limit} leaves"
+                f"evaluation tree for {term_to_str(goal)} exceeds {DEFAULT_BRANCH_LIMIT} leaves"
             )
         yield ok, sigma
         # advance the odometer to the next unexplored branch
@@ -108,8 +109,7 @@ def iter_eval_leaves(prog: Program, goal, base, branch_limit=DEFAULT_BRANCH_LIMI
         script = [idx for idx, _n in log[:-1]] + [log[-1][0] + 1]
 
 
-def exact_conditional(prog: Program, query, evidence,
-                      branch_limit=DEFAULT_BRANCH_LIMIT) -> ExactResult:
+def exact_conditional(prog: Program, query, evidence) -> ExactResult:
     """Exact ExactResult for cond(query | evidence).
 
     The joint explores evidence first, then continues the query enumeration
@@ -118,19 +118,19 @@ def exact_conditional(prog: Program, query, evidence,
     p_e_terms = []
     p_joint_terms = []
     leaf_count = 0
-    for ok_e, sig_e in iter_eval_leaves(prog, evidence, {}, branch_limit):
+    for ok_e, sig_e in iter_eval_leaves(prog, evidence, {}):
         leaf_count += 1
         if not ok_e:
             continue
         p_e_terms.append(prob(sig_e, prog))
-        for ok_q, sig_q in iter_eval_leaves(prog, query, sig_e, branch_limit):
+        for ok_q, sig_q in iter_eval_leaves(prog, query, sig_e):
             leaf_count += 1
             if ok_q:
                 union = dict(sig_e)
                 union.update(sig_q)
                 p_joint_terms.append(prob(union, prog))
     p_query_terms = []
-    for ok_q, sig_q in iter_eval_leaves(prog, query, {}, branch_limit):
+    for ok_q, sig_q in iter_eval_leaves(prog, query, {}):
         leaf_count += 1
         if ok_q:
             p_query_terms.append(prob(sig_q, prog))

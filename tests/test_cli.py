@@ -257,8 +257,11 @@ def _write(tmp_path, text):
     return str(p)
 
 
-@pytest.mark.parametrize("size", [400, 800])
-@pytest.mark.parametrize("method", ["tree", "worlds"])
+# The world route still recurses once per list element (oracle._rename).
+@pytest.mark.parametrize(
+    ("method", "size"),
+    [("tree", 400), ("tree", 800), ("tree", 2000), ("worlds", 400), ("worlds", 800)],
+)
 def test_exact_long_list_fact(method, size, tmp_path, capsys):
     path = _write(tmp_path, _list_fact_program(size))
     assert run_cli(["exact", "--program", path, "--query", "q", "--method", method]) == 0
@@ -275,9 +278,10 @@ def test_long_list_query(tmp_path, capsys):
 
 
 def test_chain_runs_on_long_list_fact():
-    prog = parse_program(_list_fact_program(800))
-    result = run_chain(prog, "q", "true", ChainConfig(steps=200, seed=0))
-    assert 0.0 < result.estimate < 1.0
+    for size in (800, 2000):
+        prog = parse_program(_list_fact_program(size))
+        result = run_chain(prog, "q", "true", ChainConfig(steps=200, seed=0))
+        assert 0.0 < result.estimate < 1.0
 
 
 def test_too_deep_list_fact_is_one_error_line(tmp_path, capsys):

@@ -251,6 +251,20 @@ def test_initial_sample_randomizes_the_witness():
     assert len(seen) > 1
 
 
+def test_initial_sample_shuffles_disjunction_branches():
+    prog = parse_program(
+        """
+values(x, [t, f]).
+values(y, [t, f]).
+:- set_sw(x, [0.3, 0.7]).
+:- set_sw(y, [0.6, 0.4]).
+e :- (msw(x, t) ; msw(y, t)).
+"""
+    )
+    seen = {frozenset(initial_sample(prog, "e", random.Random(seed)).items()) for seed in range(20)}
+    assert seen == {frozenset({(("x", 0), "t")}), frozenset({(("y", 0), "t")})}
+
+
 def test_added_clause_is_seen_after_an_evaluation():
     prog = parse_program("values(x, [t, f]). :- set_sw(x, [0.5, 0.5]). a :- msw(x, t).")
     assert not sample_eval(prog, "a", {("x", 0): "f"}, rng=None).success

@@ -233,7 +233,7 @@ def test_clause_compilation_slots():
     (c,) = prog.clauses[("p", 2)]
     assert repr(c) == "p(X,Y) :- q(X), r(Y,X)."
     # the evaluator numbers clause variables in order of first occurrence
-    hargs, nvars, _body, pad = _compile_clause(c, {})
+    hargs, _fixed, nvars, _body, pad = _compile_clause(c, {})
     assert nvars == 2 and [a.i for a in hargs] == [0, 1] and pad == []
 
 

@@ -21,7 +21,7 @@ from hypothesis import strategies as st
 
 from exact_kernel import build_transition_system, leaf_weight, stationary_distribution
 from plpmcmc.adapt import AdaptedSource, QStore
-from plpmcmc.bench import fig1, small_benchmarks
+from plpmcmc.bench import fig1, gen_bn, small_benchmarks
 from plpmcmc.evaluator import EvalError, UnsatisfiableEvidence, initial_sample, sample_eval
 from plpmcmc.lang import Var, parse_goal, parse_program
 from plpmcmc.mcmc import (
@@ -509,6 +509,30 @@ def test_seeded_initial_witnesses_are_pinned():
         for seed in range(10)
     ]
     assert _digest(witnesses) == "0ee9fc9c9b3b7ea8"
+
+
+def _chain_digest(cases, seed, steps):
+    runs = []
+    for case in cases:
+        for strategy in STRATEGIES.values():
+            for adaptive in (False, True):
+                res = run_chain(
+                    case.program, case.query, case.evidence,
+                    ChainConfig(steps=steps, seed=seed, strategy=strategy,
+                                adaptive=adaptive, collect_rows=True),
+                )
+                runs.append(([r[:5] for r in res.rows], res.final_state, res.estimate))
+    return _digest(runs)
+
+
+def test_seeded_bn_chains_are_pinned():
+    # bn clause heads have compound arguments such as n(0,1); fig1's have none
+    cases = [gen_bn(4, 4, 3, seed) for seed in (0, 1, 2, 4)]
+    assert _chain_digest(cases, seed=7, steps=300) == "20538019e87e1a03"
+
+
+def test_seeded_catalogue_chains_are_pinned():
+    assert _chain_digest(small_benchmarks(), seed=0, steps=200) == "8b7110639088367d"
 
 
 def test_acceptance_values_match_reported_lengths():

@@ -7,6 +7,8 @@ estimates elsewhere.
 
 import pytest
 
+from plpmcmc import oracle
+from plpmcmc.evaluator import EvalError
 from plpmcmc.lang import parse_program
 from plpmcmc.oracle import (
     BranchLimitExceeded,
@@ -18,7 +20,8 @@ from plpmcmc.oracle import (
     world_universe,
 )
 from plpmcmc.worlds import mutually_exclusive, prob
-from plpmcmc.bench import fig1
+from plpmcmc.bench import fig1, small_benchmarks
+from test_mcmc import _digest
 
 TINY = parse_program(
     """
@@ -109,10 +112,11 @@ def test_eval_leaves_are_deterministically_ordered():
     assert a == b
 
 
-def test_branch_limit():
+def test_branch_limit(monkeypatch):
+    monkeypatch.setattr(oracle, "DEFAULT_BRANCH_LIMIT", 5)
     case = fig1()
     with pytest.raises(BranchLimitExceeded):
-        exact_conditional(case.program, case.evidence, "true", branch_limit=5)
+        exact_conditional(case.program, case.evidence, "true")
 
 
 def test_unsatisfiable_evidence_is_an_error():
@@ -162,3 +166,46 @@ def test_true_evidence_reduces_to_marginal():
     res = exact_conditional(TINY, "both", "true")
     assert res.p_evidence == 1.0
     assert res.p_conditional == pytest.approx(0.18, abs=1e-15)
+
+
+# Goals held in variables, disjunctive bodies and the occurs check, under both
+# routes.
+CALLS = parse_program(
+    """
+values(x, [t, f]).
+values(y, [t, f]).
+:- set_sw(x, [0.3, 0.7]).
+:- set_sw(y, [0.6, 0.4]).
+a :- msw(x, t).
+b :- msw(y, t).
+call1(G) :- G.
+e :- (msw(x, t) ; msw(y, t)).
+q :- call1((a ; b)).
+d :- call1(a), call1(b).
+occ(X, f(X)).
+loopy :- occ(Y, Y).
+unb :- call1(G).
+"""
+)
+ROUTES = [exact_conditional, exact_conditional_worlds]
+
+
+@pytest.mark.parametrize(
+    ("query", "evidence", "expected"),
+    [("e", "true", 0.72), ("q", "true", 0.72), ("d", "e", 0.25), ("loopy", "true", 0.0)],
+)
+@pytest.mark.parametrize("route", ROUTES)
+def test_call_disjunction_and_occurs_check(route, query, evidence, expected):
+    res = route(CALLS, query, evidence)
+    assert res.p_conditional == pytest.approx(expected, abs=1e-12)
+
+
+@pytest.mark.parametrize("route", ROUTES)
+def test_unbound_goal_is_an_error(route):
+    with pytest.raises(EvalError, match="unbound goal"):
+        route(CALLS, "unb", "true")
+
+
+def test_catalogue_tree_results_are_pinned():
+    results = [exact_conditional(c.program, c.query, c.evidence) for c in small_benchmarks()]
+    assert _digest(results) == "55025f1906c52afe"
