@@ -17,6 +17,7 @@ independent sampling.
 from __future__ import annotations
 
 import random
+from collections.abc import Mapping
 from typing import NamedTuple
 
 from .lang import Program
@@ -36,33 +37,141 @@ AVERAGING = "avg"
 LAST_REWARD = "last"
 
 
-class QStore:
-    """Per-(switch, instance, outcome) Q-value, cumulative reward and count."""
+class _Record:
+    """Q-value, reward total and update count of one (switch, instance,
+    outcome) key, and the group of its switch instance's records."""
 
-    __slots__ = ("mode", "q", "total", "count")
+    __slots__ = ("q", "total", "count", "group")
+
+    def __init__(self):
+        self.q = 1.0
+        self.total = 0.0
+        self.count = 0
+        self.group = None
+
+
+class _Group:
+    """A switch instance's records as (declared probability, record) pairs in
+    outcome order, and the adapted vector last computed from them (None once
+    a record changes) with the floor it was computed under."""
+
+    __slots__ = ("pairs", "index", "vec", "floor")
+
+    def __init__(self, pairs, index):
+        self.pairs = pairs
+        self.index = index
+        self.vec = None
+        self.floor = None
+
+
+class _View(Mapping):
+    """Read-only mapping from a store's keys to one record field: `q` over
+    every key with a Q-value, `total` and `count` over the updated keys."""
+
+    __slots__ = ("_recs", "_field")
+
+    def __init__(self, recs, field):
+        self._recs = recs
+        self._field = field
+
+    def _has(self, rec):
+        return self._field == "q" or rec.count > 0
+
+    def __getitem__(self, key):
+        rec = self._recs.get(key)
+        if rec is None or not self._has(rec):
+            raise KeyError(key)
+        return getattr(rec, self._field)
+
+    def __iter__(self):
+        return (key for key, rec in self._recs.items() if self._has(rec))
+
+    def __len__(self):
+        if self._field == "q":
+            return len(self._recs)
+        return sum(1 for rec in self._recs.values() if rec.count > 0)
+
+
+class _QView(_View):
+    """The `q` mapping; writing a Q-value by hand drops the cached vector."""
+
+    __slots__ = ("_store",)
+
+    def __init__(self, store):
+        super().__init__(store._recs, "q")
+        self._store = store
+
+    def __setitem__(self, key, value):
+        rec = self._store._record(key)
+        rec.q = value
+        if rec.group is not None:
+            rec.group.vec = None
+
+
+class QStore:
+    """Per-(switch, instance, outcome) Q-value, cumulative reward and count.
+
+    Each key has one record.  The records of a switch instance's outcomes
+    share a group, built the first time the instance is adapted or its
+    adapted vector is asked for, which holds them in outcome order together
+    with their declared probabilities; an outcome without a Q-value has a
+    record (Q = 1) in its group but no entry in `q`.  `q`, `total` and
+    `count` read the records as mappings, in the order keys first got a
+    Q-value; `q` also accepts writes.  A store serves one program.
+    """
+
+    __slots__ = ("mode", "_recs", "_groups", "q", "total", "count")
 
     def __init__(self, mode=AVERAGING):
         if mode not in (AVERAGING, LAST_REWARD):
             raise ValueError(f"unknown QStore mode {mode!r}")
         self.mode = mode
-        self.q = {}
-        self.total = {}
-        self.count = {}
+        self._recs = {}  # keys with a Q-value -> record
+        self._groups = {}  # (switch, instance) -> group
+        self.q = _QView(self)
+        self.total = _View(self._recs, "total")
+        self.count = _View(self._recs, "count")
+
+    def _record(self, key):
+        """The record of `key`, given a Q-value if it had none."""
+        rec = self._recs.get(key)
+        if rec is None:
+            g = self._groups.get(key[:2])
+            k = None if g is None else g.index.get(key[2])
+            rec = _Record() if k is None else g.pairs[k][1]
+            self._recs[key] = rec
+        return rec
+
+    def _group(self, s, i, info):
+        g = self._groups.get((s, i))
+        if g is None:
+            pairs = []
+            for p, v in zip(info.probs, info.outcomes):
+                rec = self._recs.get((s, i, v))
+                pairs.append((p, _Record() if rec is None else rec))
+            g = self._groups[(s, i)] = _Group(tuple(pairs), info.index)
+            for _p, rec in pairs:
+                rec.group = g
+        return g
 
     def q_value(self, key) -> float:
-        return self.q.get(key, 1.0)
+        rec = self._recs.get(key)
+        return 1.0 if rec is None else rec.q
 
     def update(self, key, reward):
-        t_new = self.total.get(key, 0.0) + reward
-        c_new = self.count.get(key, 0) + 1
-        self.total[key] = t_new
-        self.count[key] = c_new
-        self.q[key] = t_new / c_new if self.mode == AVERAGING else reward
+        rec = self._record(key)
+        t_new = rec.total + reward
+        c_new = rec.count + 1
+        rec.total = t_new
+        rec.count = c_new
+        rec.q = t_new / c_new if self.mode == AVERAGING else reward
+        if rec.group is not None:
+            rec.group.vec = None
 
     def items(self):
         """(key, Q, count, total) rows for reporting, insertion-ordered."""
-        for key, qv in self.q.items():
-            yield key, qv, self.count[key], self.total[key]
+        for key, rec in self._recs.items():
+            yield key, rec.q, rec.count, rec.total
 
 
 def adapt(trace, reward, store: QStore, prog: Program):
@@ -75,17 +184,50 @@ def adapt(trace, reward, store: QStore, prog: Program):
     later positions first.  Empty traces are a no-op.
     """
     r = reward
-    qd = store.q
-    for s, i, v in reversed(trace):
-        store.update((s, i, v), r)
-        info = prog.switch_info(s)
-        acc = 0.0
-        outs = info.outcomes
-        probs = info.probs
-        for k in range(len(outs)):
-            acc += probs[k] * qd.get((s, i, outs[k]), 1.0)
-        r = acc
+    recs = store._recs
+    rtrace = trace[::-1]
+    if type(store).update is not QStore.update:
+        # A subclass's `update` decides what changes; read the records after.
+        for key in rtrace:
+            store.update(key, r)
+            rec = recs.get(key)
+            g = None if rec is None else rec.group
+            if g is None:
+                g = store._group(key[0], key[1], prog.switch_info(key[0]))
+            r = _expected_q(g)
+        return store
+    # QStore's own update, done here with one lookup per key.  Each key is
+    # looked up when its turn comes, after the later positions' updates.
+    averaging = store.mode == AVERAGING
+    for key, rec in zip(rtrace, map(recs.get, rtrace)):
+        if rec is None:
+            rec = store._record(key)
+        t_new = rec.total + r
+        c_new = rec.count + 1
+        rec.total = t_new
+        rec.count = c_new
+        rec.q = t_new / c_new if averaging else r
+        g = rec.group
+        if g is None:
+            g = store._group(key[0], key[1], prog.switch_info(key[0]))
+        else:
+            g.vec = None
+        pairs = g.pairs
+        if len(pairs) == 2:
+            # the common two-outcome switch, summed as `_expected_q` sums it
+            (p0, rec0), (p1, rec1) = pairs
+            r = 0.0 + p0 * rec0.q + p1 * rec1.q
+        else:
+            r = _expected_q(g)
     return store
+
+
+def _expected_q(g):
+    """sum_v P(v) * Q(v) over a group, in outcome order."""
+    acc = 0.0
+    for p, rec in g.pairs:
+        acc += p * rec.q
+    return acc
 
 
 def adapted_probs(store: QStore, s, i, info, floor=Q_FLOOR):
@@ -95,44 +237,76 @@ def adapted_probs(store: QStore, s, i, info, floor=Q_FLOOR):
     equal — the common factor cancels, and reusing the original tuple keeps
     an unadapted run bit-identical to the non-adaptive code path.
     """
-    qd = store.q
-    outs = info.outcomes
-    qs = []
-    uniform = True
+    weights = []
     first = None
-    for v in outs:
-        qv = qd.get((s, i, v), 1.0)
+    uniform = True
+    for p, rec in store._group(s, i, info).pairs:
+        qv = rec.q
         if qv < floor:
             qv = floor
         if first is None:
             first = qv
         elif qv != first:
             uniform = False
-        qs.append(qv)
+        weights.append(p * qv)
     if uniform:
         return info.probs
-    probs = info.probs
-    weights = [probs[k] * qs[k] for k in range(len(outs))]
     total = sum(weights)
-    return tuple(w / total for w in weights)
+    out = []
+    for w in weights:
+        out.append(w / total)
+    return tuple(out)
 
 
 class AdaptedSource:
     """Distribution source backed by a QStore.
 
     Instances are callables with the `(s, i, info) -> probs` signature the
-    evaluator expects for its `dist` argument; each call reads the store as
-    it stands.
+    evaluator expects for its `dist` argument.  A call returns the switch
+    instance's cached vector when no record of it changed since it was
+    computed under this floor, and recomputes it from the store otherwise.
     """
 
-    __slots__ = ("store", "floor")
+    __slots__ = ("store", "floor", "_groups")
 
     def __init__(self, store: QStore, floor=Q_FLOOR):
         self.store = store
         self.floor = floor
+        self._groups = store._groups
 
     def __call__(self, s, i, info):
-        return adapted_probs(self.store, s, i, info, self.floor)
+        g = self._groups.get((s, i))
+        if g is not None and g.vec is not None and g.floor == self.floor:
+            return g.vec
+        vec = adapted_probs(self.store, s, i, info, self.floor)
+        g = self._groups[(s, i)]
+        g.vec = vec
+        g.floor = self.floor
+        return vec
+
+    def ratio(self, current, proposed, prog: Program) -> float:
+        """P'(v)/P(v) over the entries of `current` that `proposed` lacks or
+        changes, times P(v)/P'(v) over the entries of `proposed` that
+        `current` lacks or changes, multiplied entry by entry in dict order,
+        so that an unadapted store (P' == P) cancels exactly."""
+        groups = self._groups
+        floor = self.floor
+        ratio = 1.0
+        for a, b in ((current, proposed), (proposed, current)):
+            get = b.get
+            for key, v in a.items():
+                if get(key) == v:
+                    continue
+                g = groups.get(key)
+                if g is None or g.vec is None or g.floor != floor:
+                    self(key[0], key[1], prog.switch_info(key[0]))
+                    g = groups[key]
+                k = g.index[v]
+                if a is current:
+                    ratio *= g.vec[k] / g.pairs[k][0]
+                else:
+                    ratio *= g.pairs[k][0] / g.vec[k]
+        return ratio
 
 
 class _MonotonicityAudit(QStore):
@@ -146,8 +320,9 @@ class _MonotonicityAudit(QStore):
         self.violations = []
 
     def update(self, key, reward):
-        if key in self.count and reward > self.q[key] + 1e-9:
-            self.violations.append((key, self.q[key], reward))
+        rec = self._recs.get(key)
+        if rec is not None and rec.count and reward > rec.q + 1e-9:
+            self.violations.append((key, rec.q, reward))
         super().update(key, reward)
 
 

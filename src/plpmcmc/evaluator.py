@@ -27,6 +27,18 @@ first-argument indexing: for a ground first argument only the clauses that
 could match it are tried, in textual order.  Skipped clauses are exactly
 those whose head unification would have failed, so derivation order is
 unchanged.
+
+Evaluation tries: for a fixed goal the engine is deterministic given the
+value each switch instance takes at its first consult, so `sample_eval`
+keeps, per program and goal, a trie of the consult paths it has run (see
+"Evaluation tries" below).  A call whose path is in the trie walks it, taking
+each value from the assignment or drawing it exactly as the engine would,
+and returns the stored outcome without resolving anything; only a new path
+runs `run_first`.  The trie depends neither on the assignment nor on any
+probabilities, so plain and adaptive chains and the independent sampler all
+share it; it is cached beside the compiled clause tables, cleared with them
+by `Program.add_clause`, and cleared when it reaches `MEMO_NODE_CAP` nodes.
+The tree oracle calls `run_first` directly and never reads it.
 """
 
 from __future__ import annotations
@@ -307,8 +319,9 @@ def _compiled(prog: Program):
     The index maps each ground first argument appearing in some clause head to
     the clauses able to match it -- exact matches merged with clauses whose
     first head argument is non-ground, in textual order -- plus a generic
-    fallback for arguments matching no ground head.  Predicates with no ground
-    first argument anywhere get no index (lookups would be pure overhead).
+    fallback for arguments matching no ground head, and a flag saying whether
+    any ground key is compound.  Predicates with no ground first argument
+    anywhere get no index (lookups would be pure overhead).
     """
     entries = prog._engine_code
     if entries is None:
@@ -327,6 +340,7 @@ def _compiled(prog: Program):
                             for gk in ground_keys
                         },
                         generic,
+                        any(type(gk) is tuple for gk in ground_keys),
                     )
             entries[key][:] = (code, index)
         prog._engine_code = entries
@@ -342,7 +356,7 @@ _SWITCH_CP = "msw"
 
 
 def run_first(prog: Program, goal, assignment, picker,
-              step_limit=DEFAULT_STEP_LIMIT, shuffle=None):
+              step_limit=DEFAULT_STEP_LIMIT, shuffle=None, steps_out=None):
     """Evaluate `goal` depth-first, left to right, to its first derivation; the
     raw engine behind both entry points.
 
@@ -353,6 +367,9 @@ def run_first(prog: Program, goal, assignment, picker,
     instead: alternative clauses, disjunction branches and a fresh switch's
     positive-probability outcomes are tried in shuffled order, and switch
     bindings are undone on backtracking.  Returns (success, assignment, trace).
+
+    `steps_out`, a list, receives the step count at each switch instance's
+    first consult and then the final step count (without `shuffle` only).
     """
     entries = _compiled(prog)
     switch_info = prog.switch_info
@@ -370,6 +387,8 @@ def run_first(prog: Program, goal, assignment, picker,
 
     while True:
         if goals is None:
+            if steps_out is not None:
+                steps_out.append(steps)
             return True, sigma, trace
         node, frame, rest = goals
         steps += 1
@@ -401,9 +420,17 @@ def run_first(prog: Program, goal, assignment, picker,
                 else:
                     xs.append(_build_fill(a, frame))
             if index is not None:
-                k1 = _ground(xs[0])
-                if k1 is not None:
-                    cl = index[0].get(k1, index[1])
+                x0 = xs[0]
+                if type(x0) is tuple and shuffle is None and not index[2]:
+                    # No ground head key is compound, so only the generic
+                    # clauses can match; a head that the full list adds
+                    # fails to unify, so the derivation is the same.  The
+                    # search keeps the full list, whose shuffle it draws.
+                    cl = index[1]
+                else:
+                    k1 = _ground(x0)
+                    if k1 is not None:
+                        cl = index[0].get(k1, index[1])
             if shuffle is not None and len(cl) > 1:
                 cl = list(cl)
                 shuffle(cl)
@@ -441,6 +468,8 @@ def run_first(prog: Program, goal, assignment, picker,
                     if v is None:
                         v = picker(skey)
                     sigma[skey] = v
+                    if steps_out is not None:
+                        steps_out.append(steps)
                 trace.append((s, inst, v))
                 vt = node[3]
                 if node[5]:
@@ -529,6 +558,8 @@ def run_first(prog: Program, goal, assignment, picker,
                 break
             else:
                 if not cps:
+                    if steps_out is not None:
+                        steps_out.append(steps)
                     return False, sigma, trace
                 cp = cps.pop()
                 _undo(trail, cp[-2])
@@ -563,6 +594,66 @@ def run_first(prog: Program, goal, assignment, picker,
             break
 
 
+# ---------------------------------------------------------------------------
+# Evaluation tries
+# ---------------------------------------------------------------------------
+#
+# For a fixed goal, a `sample_eval` run is a function of the values its
+# switch instances take at their first consults.  Each goal's runs so far are
+# kept in a trie: an internal node is a list [key, steps, children] naming
+# the switch instance consulted first at that point and the step count there,
+# with children keyed by the value consulted; a leaf is a tuple (success,
+# trace as indices into the path of consulted keys, final step count).
+
+# A program's tries are cleared before an insertion once they hold this many
+# nodes in all.
+MEMO_NODE_CAP = 20_000
+
+
+class _Memo:
+    """A program's trie roots by goal and their node count."""
+
+    __slots__ = ("roots", "nodes")
+
+    def __init__(self):
+        self.roots = {}
+        self.nodes = 0
+
+
+def _insert(memo, goal, ok, sigma, trace, steps_out):
+    """Add the path of one finished run to the goal's trie."""
+    pos = {}
+    owner = memo.roots  # the dict that holds `node`, under the key `last`
+    last = goal
+    node = owner.get(goal)
+    for j, (key, v) in enumerate(sigma.items()):
+        pos[key] = j
+        if node is None:
+            node = owner[last] = [key, steps_out[j], {}]
+            memo.nodes += 1
+        owner = node[2]
+        last = v
+        node = owner.get(v)
+    owner[last] = (ok, tuple([pos[(t[0], t[1])] for t in trace]), steps_out[-1])
+    memo.nodes += 1
+
+
+def _draw(prog, key, dist, rng):
+    """A fresh switch instance's value, drawn as `sample_eval` documents."""
+    if rng is None:
+        raise EvalError(
+            f"fresh switch instance {term_to_str(key[0])}/{term_to_str(key[1])}"
+            " encountered but no rng was provided"
+        )
+    info = prog.switch_info(key[0])
+    probs = info.probs if dist is None else dist(key[0], key[1], info)
+    return sample_outcome(info.outcomes, probs, rng)
+
+
+def _evaluation_over(step_limit):
+    return StepLimitExceeded(f"evaluation exceeded {step_limit} steps")
+
+
 def sample_eval(
     prog: Program,
     goal,
@@ -577,27 +668,51 @@ def sample_eval(
     adapted proposals); the declared distribution is used when it is None.
     With `rng=None` a fresh switch instance raises EvalError, which makes the
     call a deterministic replay against the given assignment.
+
+    The goal's trie is walked first: each node's key takes its value from
+    `assignment`, else is drawn, in the order and with the draws `run_first`
+    would make, and the step limit is checked where `run_first` would raise.
+    A path the trie does not hold yet runs `run_first` on `assignment` merged
+    with the values drawn so far, and is then added; a run that raises is not.
     """
-    if not is_ground(goal):
+    memo = prog._engine_memo
+    if memo is None:
+        memo = prog._engine_memo = _Memo()
+    node = memo.roots.get(goal)
+    if node is None and not is_ground(goal):
         raise EvalError(f"goal must be ground: {term_to_str(goal)}")
-    switch_info = prog.switch_info
 
-    if rng is None:
+    sigma = {}
+    items = []
+    get = assignment.get
+    while type(node) is list:
+        key = node[0]
+        v = get(key)
+        if v is None:
+            if node[1] > step_limit:
+                raise _evaluation_over(step_limit)
+            v = _draw(prog, key, dist, rng)
+        sigma[key] = v
+        items.append((key[0], key[1], v))
+        node = node[2].get(v)
+    if node is not None:
+        if node[2] > step_limit:
+            raise _evaluation_over(step_limit)
+        return EvalResult(node[0], sigma, [items[k] for k in node[1]])
 
-        def picker(key):
-            raise EvalError(
-                f"fresh switch instance {term_to_str(key[0])}/{term_to_str(key[1])}"
-                " encountered but no rng was provided"
-            )
-
-    else:
-
-        def picker(key):
-            info = switch_info(key[0])
-            probs = info.probs if dist is None else dist(key[0], key[1], info)
-            return sample_outcome(info.outcomes, probs, rng)
-
-    ok, sigma, trace = run_first(prog, goal, assignment, picker, step_limit)
+    if sigma:
+        merged = dict(assignment)
+        merged.update(sigma)
+        assignment = merged
+    steps_out = []
+    ok, sigma, trace = run_first(
+        prog, goal, assignment, lambda key: _draw(prog, key, dist, rng),
+        step_limit, steps_out=steps_out,
+    )
+    if memo.nodes >= MEMO_NODE_CAP:
+        memo.roots.clear()
+        memo.nodes = 0
+    _insert(memo, goal, ok, sigma, trace, steps_out)
     return EvalResult(ok, sigma, trace)
 
 

@@ -245,13 +245,16 @@ class Program:
         # ground switch term -> probability tuple
         self.dists = {}
         self._switch_cache = {}
-        # the evaluator's compiled clause tables, built on first use
+        # the evaluator's compiled clause tables and its per-goal evaluation
+        # tries, built on first use
         self._engine_code = None
+        self._engine_memo = None
 
     def add_clause(self, clause):
         key = functor_arity(clause.head)
         self.clauses.setdefault(key, []).append(clause)
         self._engine_code = None
+        self._engine_memo = None
 
     def outcomes_for(self, s):
         """Outcome list for a ground switch from its values declaration."""

@@ -123,28 +123,17 @@ def resample(assignment, strategy, rng):
 def accept_prob(current, proposed, strategy, prog: Program, adapted=None) -> float:
     """Metropolis-Hastings acceptance probability for current -> proposed.
 
-    `adapted` is the distribution source in force when the proposal was made
-    (None for the non-adaptive sampler).  Both assignments must already be
+    `adapted` is the AdaptedSource in force when the proposal was made (None
+    for the non-adaptive sampler).  Both assignments must already be
     evidence-consistent post-evaluation states.
     """
     # Original/adapted probability ratios over the dropped-and-conflicting
-    # parts of each state, entry by entry, so that an unadapted store
-    # (P' == P) cancels exactly, not just to rounding.  A non-adaptive chain
-    # keeps ratio 1.0, and 1.0 * lc / lp is exactly lc / lp.
+    # parts of each state (`AdaptedSource.ratio`).  A non-adaptive chain, and
+    # a proposal equal to the current state, keep ratio 1.0, and
+    # 1.0 * lc / lp is exactly lc / lp.
     ratio = 1.0
-    if adapted is not None:
-        for key, v in current.items():
-            if proposed.get(key) != v:
-                s, i = key
-                info = prog.switch_info(s)
-                idx = info.index[v]
-                ratio *= adapted(s, i, info)[idx] / info.probs[idx]
-        for key, v in proposed.items():
-            if current.get(key) != v:
-                s, i = key
-                info = prog.switch_info(s)
-                idx = info.index[v]
-                ratio *= info.probs[idx] / adapted(s, i, info)[idx]
+    if adapted is not None and current != proposed:
+        ratio = adapted.ratio(current, proposed, prog)
     if type(strategy) is SingleSwitch:
         lc, lp = len(current), len(proposed)
         if lc > 0 and lp > 0:
@@ -170,9 +159,13 @@ def run_chain(prog: Program, query, evidence, cfg: ChainConfig) -> ChainResult:
 
     qstore = None
     source = None
+    dist = None
     if cfg.adaptive:
         qstore = cfg.initial_qstore if cfg.initial_qstore is not None else QStore()
         source = AdaptedSource(qstore, floor=DEFENSIVE_FLOOR)
+        # The bound method: calling it skips the lookup of __call__ that
+        # calling the instance costs each time.
+        dist = source.__call__
 
     step_limit = cfg.step_limit
     strategy = cfg.strategy
@@ -185,13 +178,13 @@ def run_chain(prog: Program, query, evidence, cfg: ChainConfig) -> ChainResult:
     # a query evaluation.  Evidence evaluation from a witness cannot fail —
     # frozen fresh picks never block the stored derivation — it only fills in
     # the switches the first-derivation route consults.
-    res_e = sample_eval(prog, evidence, witness, dist=source, rng=rng_eval,
+    res_e = sample_eval(prog, evidence, witness, dist=dist, rng=rng_eval,
                         step_limit=step_limit)
     if not res_e.success:
         raise AssertionError("evidence evaluation failed on an initial witness")
     qbase = dict(witness)
     qbase.update(res_e.assignment)
-    res_q = sample_eval(prog, query, qbase, dist=source, rng=rng_eval,
+    res_q = sample_eval(prog, query, qbase, dist=dist, rng=rng_eval,
                         step_limit=step_limit)
     state = dict(res_e.assignment)
     state.update(res_q.assignment)
@@ -214,7 +207,7 @@ def run_chain(prog: Program, query, evidence, cfg: ChainConfig) -> ChainResult:
             # forget and nothing to do but re-propose the empty state.
             proposal = {}
         res_e = sample_eval(
-            prog, evidence, proposal, dist=source, rng=rng_eval, step_limit=step_limit
+            prog, evidence, proposal, dist=dist, rng=rng_eval, step_limit=step_limit
         )
         was_accepted = False
         if res_e.success:
@@ -231,7 +224,7 @@ def run_chain(prog: Program, query, evidence, cfg: ChainConfig) -> ChainResult:
                 prog,
                 query,
                 proposal,
-                dist=source,
+                dist=dist,
                 rng=rng_eval,
                 step_limit=step_limit,
             )

@@ -287,6 +287,174 @@ def test_adapted_source_caches_until_store_changes():
     assert second[0] > first[0]
 
 
+def test_adapted_source_drops_its_cached_vector_on_update_and_q_write():
+    store = QStore()
+    store.update(("x", 0, "t"), 0)
+    info = XY.switch_info("x")
+    src = AdaptedSource(store)
+    first = src("x", 0, info)
+    assert src("x", 0, info) is first
+    store.update(("x", 0, "f"), 0)
+    second = src("x", 0, info)
+    assert second is not first
+    assert second == adapted_probs(store, "x", 0, info)
+    store.q[("x", 0, "t")] = 0.9
+    third = src("x", 0, info)
+    assert third != second
+    assert third == adapted_probs(store, "x", 0, info)
+    # another floor on the same store does not read this floor's vector
+    assert AdaptedSource(store, floor=0.5)("x", 0, info) == adapted_probs(
+        store, "x", 0, info, 0.5
+    )
+    assert src("x", 0, info) == third
+
+
+def test_ratio_reads_vectors_computed_under_its_own_floor():
+    store = QStore()
+    store.q[("x", 0, "t")] = 0.0
+    info = XY.switch_info("x")
+    AdaptedSource(store, floor=0.5)("x", 0, info)  # caches a 0.5-floored vector
+    vec = adapted_probs(store, "x", 0, info)
+    expect = 1.0
+    expect *= vec[0] / info.probs[0]
+    expect *= info.probs[1] / vec[1]
+    ratio = AdaptedSource(store).ratio({("x", 0): "t"}, {("x", 0): "f"}, XY)
+    assert ratio == expect
+
+
+# -- the Q-store against a store of plain dicts -----------------------------
+
+
+class DictStore:
+    """A Q-store kept as three dicts, with the reward propagation and adapted
+    vectors written against them: the reference the record-per-key store
+    must match bit for bit."""
+
+    def __init__(self, mode=AVERAGING):
+        self.mode = mode
+        self.q, self.total, self.count = {}, {}, {}
+
+    def update(self, key, reward):
+        self.total[key] = self.total.get(key, 0.0) + reward
+        self.count[key] = self.count.get(key, 0) + 1
+        self.q[key] = self.total[key] / self.count[key] if self.mode == AVERAGING else reward
+
+    def adapt(self, trace, reward, prog):
+        r = reward
+        for s, i, v in reversed(trace):
+            self.update((s, i, v), r)
+            info = prog.switch_info(s)
+            acc = 0.0
+            for k in range(len(info.outcomes)):
+                acc += info.probs[k] * self.q.get((s, i, info.outcomes[k]), 1.0)
+            r = acc
+
+    def probs(self, s, i, info, floor):
+        qs = [max(self.q.get((s, i, v), 1.0), floor) for v in info.outcomes]
+        if all(q == qs[0] for q in qs):
+            return info.probs
+        weights = [info.probs[k] * qs[k] for k in range(len(qs))]
+        total = sum(weights)
+        return tuple(w / total for w in weights)
+
+
+class FrozenQStore(QStore):
+    __slots__ = ()
+
+    def update(self, key, reward):
+        pass
+
+
+class FrozenDictStore(DictStore):
+    def update(self, key, reward):
+        pass
+
+
+class LoggedQStore(QStore):
+    __slots__ = ("log",)
+
+    def __init__(self, mode=AVERAGING):
+        super().__init__(mode)
+        self.log = []
+
+    def update(self, key, reward):
+        self.log.append((key, self.count.get(key, 0), self.q_value(key), reward))
+        super().update(key, reward)
+
+
+class LoggedDictStore(DictStore):
+    def __init__(self, mode=AVERAGING):
+        super().__init__(mode)
+        self.log = []
+
+    def update(self, key, reward):
+        self.log.append((key, self.count.get(key, 0), self.q.get(key, 1.0), reward))
+        super().update(key, reward)
+
+
+STORE_PAIRS = {
+    "plain": (QStore, DictStore),
+    "frozen": (FrozenQStore, FrozenDictStore),
+    "logged": (LoggedQStore, LoggedDictStore),
+}
+
+ABC = parse_program(
+    """
+values(a, [t, f]).
+values(b, [t, f]).
+values(c, [x, y, z]).
+:- set_sw(a, [0.3, 0.7]).
+:- set_sw(b, [0.3, 0.7]).
+:- set_sw(c, [0.2, 0.3, 0.5]).
+"""
+)
+
+store_key = st.one_of(
+    st.tuples(st.sampled_from(["a", "b"]), st.sampled_from([0, 1]), st.sampled_from(["t", "f"])),
+    st.tuples(st.just("c"), st.sampled_from([0, 1]), st.sampled_from(["x", "y", "z"])),
+)
+store_ops = st.lists(
+    st.one_of(
+        st.tuples(st.just("adapt"), st.lists(store_key, max_size=6), st.sampled_from([0.0, 1.0])),
+        st.tuples(st.just("write"), store_key, st.sampled_from([0.0, 0.25, 1e-9, 0.7])),
+        st.tuples(st.just("probs"), st.sampled_from(["a", "b", "c"]), st.sampled_from([0, 1]),
+                  st.sampled_from([Q_FLOOR, 0.02, 0.5])),
+    ),
+    max_size=25,
+)
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.sampled_from(sorted(STORE_PAIRS)), st.sampled_from([AVERAGING, LAST_REWARD]), store_ops)
+def test_store_matches_a_store_of_plain_dicts(kind, mode, ops):
+    make, make_ref = STORE_PAIRS[kind]
+    store, ref = make(mode), make_ref(mode)
+    sources = {}
+    for op in ops:
+        if op[0] == "adapt":
+            adapt(op[1], op[2], store, ABC)
+            ref.adapt(op[1], op[2], ABC)
+        elif op[0] == "write":
+            store.q[op[1]] = op[2]
+            ref.q[op[1]] = op[2]
+        else:
+            _, s, i, floor = op
+            info = ABC.switch_info(s)
+            src = sources.setdefault(floor, AdaptedSource(store, floor))
+            got, want = src(s, i, info), ref.probs(s, i, info, floor)
+            assert got == want
+            assert (got is info.probs) == (want is info.probs)
+        assert list(store.q.items()) == list(ref.q.items())
+        assert dict(store.count) == ref.count
+        assert dict(store.total) == ref.total
+    updated = [k for k in ref.q if k in ref.count]
+    assert [row for row in store.items() if row[2]] == [
+        (k, ref.q[k], ref.count[k], ref.total[k]) for k in updated
+    ]
+    if kind == "logged":
+        assert store.log == ref.log
+
+
 # -- independent sampler ---------------------------------------------------
 
 CHAIN = parse_program(

@@ -1,9 +1,16 @@
 """First-derivation sampling evaluator: frozen picks, traces, exclusivity."""
 
+import functools
+import hashlib
 import random
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from plpmcmc import evaluator
+from plpmcmc.adapt import AdaptedSource, QStore
+from plpmcmc.bench import fig1, gen_bn, small_benchmarks
 from plpmcmc.evaluator import (
     EvalError,
     StepLimitExceeded,
@@ -12,9 +19,9 @@ from plpmcmc.evaluator import (
     run_first,
     sample_eval,
 )
-from plpmcmc.lang import Clause, parse_goal, parse_program
-from plpmcmc.oracle import holds_in_world, world_universe
-from plpmcmc.worlds import mutually_exclusive
+from plpmcmc.lang import Clause, parse_goal, parse_program, term_to_str
+from plpmcmc.oracle import exact_conditional, holds_in_world, world_universe
+from plpmcmc.worlds import mutually_exclusive, sample_outcome
 
 TWO_COINS = parse_program(
     """
@@ -270,3 +277,184 @@ def test_added_clause_is_seen_after_an_evaluation():
     assert not sample_eval(prog, "a", {("x", 0): "f"}, rng=None).success
     prog.add_clause(Clause("a", []))
     assert sample_eval(prog, "a", {("x", 0): "f"}, rng=None).success
+
+
+def _len_program(n):
+    items = ",".join(f"a{k}" for k in range(n))
+    return (
+        "values(x, [t, f]).\n:- set_sw(x, [0.5, 0.5]).\n"
+        f"data([{items}]).\n"
+        "len([], z).\nlen([_|T], s(N)) :- len(T, N).\n"
+        "q :- msw(x, t), data(L), len(L, N).\n"
+    )
+
+
+def test_list_length_walk_of_2000_elements():
+    # len/2 is indexed on its first argument; walking a ground 2000-element
+    # list through it answers under sample_eval and the tree route
+    prog = parse_program(_len_program(2000))
+    res = sample_eval(prog, "q", {("x", 0): "t"}, rng=None)
+    assert res.success and res.trace == [("x", 0, "t")]
+    assert exact_conditional(prog, "q", "true").p_conditional == 0.5
+
+
+def test_search_on_a_compound_argument_draws_as_before():
+    # p/2 is indexed on atoms only, so a list argument can match only its
+    # generic clauses; the search still shuffles the full clause list, so its
+    # witnesses keep the hash they had before evaluation skipped that lookup
+    prog = parse_program(
+        """
+values(x, [t, f]).
+values(y, [t, f]).
+:- set_sw(x, [0.5, 0.5]).
+:- set_sw(y, [0.5, 0.5]).
+p([], a).
+p([_|_], b) :- msw(x, t).
+p([_|_], c) :- msw(y, t).
+e :- p([_], V), msw(x, _).
+"""
+    )
+    witnesses = [list(initial_sample(prog, "e", random.Random(s)).items()) for s in range(40)]
+    digest = hashlib.sha256(repr(witnesses).encode()).hexdigest()[:16]
+    assert digest == "e0d4ef671c2752d7"
+
+
+# -- memoised evaluation ---------------------------------------------------
+#
+# `sample_eval` walks a per-goal trie of the runs it has seen.  Every case
+# below compares it, on a program whose tries are warm, with `run_first` on a
+# freshly parsed copy of the program, drawing through the picker that
+# `sample_eval` documents.
+
+MEMO_CASES = [fig1(), gen_bn(3, 3, 2, seed=0)] + small_benchmarks()
+
+
+def _live(prog, goal, base, dist, rng, step_limit=evaluator.DEFAULT_STEP_LIMIT):
+    def picker(key):
+        if rng is None:
+            raise EvalError(
+                f"fresh switch instance {term_to_str(key[0])}/{term_to_str(key[1])}"
+                " encountered but no rng was provided"
+            )
+        info = prog.switch_info(key[0])
+        probs = info.probs if dist is None else dist(key[0], key[1], info)
+        return sample_outcome(info.outcomes, probs, rng)
+
+    return run_first(prog, goal, base, picker, step_limit)
+
+
+def _outcome(call):
+    """A call's (success, assignment items, trace), or its error."""
+    try:
+        ok, sigma, trace = call()
+    except EvalError as exc:
+        return type(exc).__name__, str(exc)
+    return ok, list(sigma.items()), list(trace)
+
+
+@functools.cache
+def _memo_case(k):
+    """(case, fresh copy of its program, adapted source), with the case's
+    tries warmed by 300 evaluations of each goal."""
+    case = MEMO_CASES[k]
+    rng = random.Random(k)
+    store = QStore()
+    for s in case.program.dists:
+        for v in case.program.switch_info(s).outcomes:
+            store.q[(s, 0, v)] = rng.uniform(0.05, 1.0)
+    source = AdaptedSource(store)
+    for n in range(300):
+        for goal in (case.query, case.evidence):
+            sample_eval(case.program, goal, {}, dist=source if n % 2 else None, rng=rng)
+    return case, parse_program(case.text), source
+
+
+def _memo_example(data):
+    k = data.draw(st.integers(0, len(MEMO_CASES) - 1), label="case")
+    case, fresh, source = _memo_case(k)
+    goal = data.draw(st.sampled_from([case.query, case.evidence]), label="goal")
+    base = {}
+    for key in world_universe(case.program):
+        if data.draw(st.booleans()):
+            base[key] = data.draw(st.sampled_from(case.program.switch_info(key[0]).outcomes))
+    dist = source if data.draw(st.booleans(), label="adapted") else None
+    seed = data.draw(st.integers(0, 2**16), label="seed")
+    return case, fresh, goal, base, dist, seed
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.data())
+def test_warm_trie_matches_a_live_run(data):
+    case, fresh, goal, base, dist, seed = _memo_example(data)
+    rng_m, rng_l = random.Random(seed), random.Random(seed)
+    memo = _outcome(lambda: sample_eval(case.program, goal, dict(base), dist=dist, rng=rng_m))
+    live = _outcome(lambda: _live(fresh, goal, dict(base), dist, rng_l))
+    assert memo == live
+    assert rng_m.getstate() == rng_l.getstate()
+    # without an rng, the same result or the same fresh-switch error
+    assert _outcome(lambda: sample_eval(case.program, goal, dict(base))) == _outcome(
+        lambda: _live(fresh, goal, dict(base), None, None)
+    )
+
+
+def _smallest_limit(call):
+    """The smallest step limit under which `call(limit)` does not raise
+    StepLimitExceeded."""
+    def raises(limit):
+        try:
+            call(limit)
+        except StepLimitExceeded:
+            return True
+        return False
+
+    lo, hi = 0, 1
+    while raises(hi):
+        lo, hi = hi, 2 * hi
+    while hi - lo > 1:
+        mid = (lo + hi) // 2
+        if raises(mid):
+            lo = mid
+        else:
+            hi = mid
+    return hi
+
+
+@settings(max_examples=80, deadline=None)
+@given(st.data())
+def test_step_limit_is_met_where_a_live_run_meets_it(data):
+    case, fresh, goal, base, dist, seed = _memo_example(data)
+
+    def memo(limit, rng=None):
+        rng = random.Random(seed) if rng is None else rng
+        return sample_eval(case.program, goal, dict(base), dist=dist, rng=rng, step_limit=limit)
+
+    def live(limit, rng=None):
+        rng = random.Random(seed) if rng is None else rng
+        return _live(fresh, goal, dict(base), dist, rng, limit)
+
+    memo(evaluator.DEFAULT_STEP_LIMIT)
+    limit = _smallest_limit(memo)
+    assert limit == _smallest_limit(live)
+    # one step less raises in both, after the same draws
+    rng_m, rng_l = random.Random(seed), random.Random(seed)
+    assert _outcome(lambda: memo(limit - 1, rng_m)) == _outcome(lambda: live(limit - 1, rng_l))
+    assert rng_m.getstate() == rng_l.getstate()
+
+
+def test_repeated_evaluation_walks_the_trie(monkeypatch):
+    prog = fig1().program
+    goal = parse_goal("reach(a,e)")
+    first = [sample_eval(prog, goal, {}, rng=random.Random(s)) for s in range(200)]
+    runs = []
+    monkeypatch.setattr(evaluator, "run_first", lambda *a, **k: runs.append(a))
+    again = [sample_eval(prog, goal, {}, rng=random.Random(s)) for s in range(200)]
+    assert runs == [] and again == first
+
+
+def test_added_clause_clears_the_tries():
+    prog = parse_program("values(x, [t, f]). :- set_sw(x, [0.5, 0.5]). a :- msw(x, t).")
+    assert not sample_eval(prog, "a", {("x", 0): "f"}, rng=None).success
+    assert prog._engine_memo is not None
+    prog.add_clause(Clause("a", []))
+    assert prog._engine_memo is None
+    assert sample_eval(prog, "a", {("x", 0): "f"}, rng=None) == (True, {("x", 0): "f"}, [("x", 0, "f")])

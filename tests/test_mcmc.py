@@ -20,6 +20,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from exact_kernel import build_transition_system, leaf_weight, stationary_distribution
+from plpmcmc import evaluator
 from plpmcmc.adapt import AdaptedSource, QStore
 from plpmcmc.bench import fig1, gen_bn, small_benchmarks
 from plpmcmc.evaluator import EvalError, UnsatisfiableEvidence, initial_sample, sample_eval
@@ -498,6 +499,30 @@ def test_seeded_fig1_chains_are_pinned(strategy, adaptive):
         ChainConfig(steps=20000, seed=0, strategy=STRATEGIES[strategy],
                     adaptive=adaptive, collect_rows=True),
     )
+    digest = _digest(([r[:5] for r in res.rows], res.final_state, res.estimate))
+    assert digest == FIG1_DIGESTS[strategy, adaptive]
+
+
+@pytest.mark.parametrize(("strategy", "adaptive"), list(FIG1_DIGESTS))
+def test_fig1_pins_hold_when_the_memo_is_cleared_often(strategy, adaptive, monkeypatch):
+    # with a cap of 8 nodes the evaluation tries are cleared every few misses
+    monkeypatch.setattr(evaluator, "MEMO_NODE_CAP", 8)
+    case = fig1()
+    res = run_chain(
+        case.program, case.query, case.evidence,
+        ChainConfig(steps=20000, seed=0, strategy=STRATEGIES[strategy],
+                    adaptive=adaptive, collect_rows=True),
+    )
+    # under 8 nodes before the last insertion, then one path: a node per
+    # switch at most, and a leaf
+    memo = case.program._engine_memo
+    stack, held = list(memo.roots.values()), 0
+    while stack:
+        node = stack.pop()
+        held += 1
+        if type(node) is list:
+            stack.extend(node[2].values())
+    assert held == memo.nodes <= 7 + len(case.program.dists) + 1
     digest = _digest(([r[:5] for r in res.rows], res.final_state, res.estimate))
     assert digest == FIG1_DIGESTS[strategy, adaptive]
 
