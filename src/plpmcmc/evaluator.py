@@ -164,7 +164,7 @@ def _build_fill(t, frame):
     return (t[0],) + tuple(_build_fill(a, frame) for a in t[1:])
 
 
-def _ground(t, frame=None):
+def _ground(t, frame):
     """The ground term `t` denotes, its clause variables read through `frame`,
     or None when a variable in it is unbound.  `t` itself is returned when
     nothing in it needs rewriting."""
@@ -192,6 +192,49 @@ def _ground(t, frame=None):
     return t if same else tuple(args)
 
 
+def _index_key(t):
+    """`_ground` for a call's first argument, the key looked up in its
+    predicate's index, walked with explicit stacks so that a long list does
+    not recurse: the ground term, or None when a cell in it is unbound.  `t`
+    itself is returned when no cell is in it."""
+    tt = type(t)
+    while tt is Cell:
+        t = t.ref
+        tt = type(t)
+    if tt is not tuple:
+        return t
+    stack = [t]
+    cells = False
+    while stack:
+        u = stack.pop()
+        if type(u) is Cell:
+            u = _deref(u)
+            if type(u) is Cell:
+                return None
+            cells = True
+        if type(u) is tuple:
+            stack.extend(u[1:])
+    if not cells:
+        return t
+    # Rebuild without cells, as `_compile_clause`'s template does: a list
+    # holding a compound term marks where its arguments are collected.
+    out = []
+    stack = [t]
+    while stack:
+        u = stack.pop()
+        if type(u) is list:
+            k = len(out) - len(u[0]) + 1
+            out[k:] = [(u[0][0], *out[k:])]
+            continue
+        u = _deref(u)
+        if type(u) is tuple:
+            stack.append([u])
+            stack.extend(reversed(u[1:]))
+        else:
+            out.append(u)
+    return out[0]
+
+
 def _undo(trail, mark):
     while len(trail) > mark:
         trail.pop().ref = None
@@ -213,9 +256,10 @@ def _undo(trail, mark):
 # instantiates it otherwise.  A frame entry that is first filled after the
 # frame was made always holds a fresh cell, so a frame revisited after
 # backtracking still reads as the clause's variables did at that point.  Only
-# two places need a ground term, and both get it from `_ground`: the switch
-# key of an msw node whose switch or instance holds variables, and a call's
-# first argument looked up in its predicate's index.
+# two places need a ground term: the switch key of an msw node whose switch or
+# instance holds variables, from `_ground`, and a call's first argument looked
+# up in its predicate's index, from `_index_key`, which walks a list of any
+# length.
 
 _CALL, _MSW, _CONJ, _DISJ, _TRUE, _VAR, _INVALID = range(7)
 _TRUE_NODE = (_TRUE,)
@@ -428,7 +472,7 @@ def run_first(prog: Program, goal, assignment, picker,
                     # search keeps the full list, whose shuffle it draws.
                     cl = index[1]
                 else:
-                    k1 = _ground(x0)
+                    k1 = _index_key(x0)
                     if k1 is not None:
                         cl = index[0].get(k1, index[1])
             if shuffle is not None and len(cl) > 1:

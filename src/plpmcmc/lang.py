@@ -246,15 +246,17 @@ class Program:
         self.dists = {}
         self._switch_cache = {}
         # the evaluator's compiled clause tables and its per-goal evaluation
-        # tries, built on first use
+        # tries, and the world prover's clause table, built on first use
         self._engine_code = None
         self._engine_memo = None
+        self._world_code = None
 
     def add_clause(self, clause):
         key = functor_arity(clause.head)
         self.clauses.setdefault(key, []).append(clause)
         self._engine_code = None
         self._engine_memo = None
+        self._world_code = None
 
     def outcomes_for(self, s):
         """Outcome list for a ground switch from its values declaration."""

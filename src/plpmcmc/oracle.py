@@ -8,18 +8,20 @@ Two deliberately independent routes:
    mutually exclusive, so summing prob() over success leaves is exact, and
    success + failure leaves together sum to 1.
 
-2. Complete-world enumeration (`exact_conditional_worlds`): enumerate every
-   total assignment of the declared switches and decide the goal in each
-   world with a plain, substitution-based SLD prover that treats msw as a
-   table lookup.  Shares nothing with the sampling engine beyond the term
-   layer in `lang`: the term representation and `unify`.
+2. Complete-world enumeration (`exact_conditional_worlds`): sum over every
+   total assignment of the declared switches, deciding the goals with a
+   plain, substitution-based SLD prover that treats msw as a table lookup.
+   Worlds are visited in order, last switch fastest, and one proof decides
+   every world that agrees with the proved one up to the last switch the
+   proof read: the proof never looked at the rest, and their outcomes' mass
+   sums to 1.  Shares nothing with the sampling engine beyond the term layer
+   in `lang`: the term representation and `unify`.
 
 Both sum with math.fsum, so agreement to 1e-12 is meaningful.
 """
 
 from __future__ import annotations
 
-import itertools
 import math
 from typing import NamedTuple
 
@@ -148,25 +150,6 @@ def world_universe(prog: Program):
     return [(s, 0) for s in prog.dists]
 
 
-def iter_worlds(prog: Program):
-    """Yield (world dict, probability) for every complete world, or raise
-    BranchLimitExceeded first if they number over DEFAULT_BRANCH_LIMIT."""
-    keys = world_universe(prog)
-    infos = [prog.switch_info(s) for s, _ in keys]
-    count = 1
-    for info in infos:
-        count *= len(info.outcomes)
-        if count > DEFAULT_BRANCH_LIMIT:
-            raise BranchLimitExceeded(f"world count exceeds {DEFAULT_BRANCH_LIMIT}")
-    for combo in itertools.product(*(range(len(i.outcomes)) for i in infos)):
-        world = {}
-        p = 1.0
-        for key, info, k in zip(keys, infos, combo):
-            world[key] = info.outcomes[k]
-            p *= info.probs[k]
-        yield world, p
-
-
 def _rename(t, mapping):
     if isinstance(t, Var):
         v = mapping.get(t)
@@ -182,7 +165,26 @@ def _rename(t, mapping):
     return t
 
 
-def holds_in_world(prog: Program, goal, world) -> bool:
+def _world_code(prog: Program):
+    """Per-predicate (head, head is ground, reversed body as (goal, goal is
+    ground) pairs) for each clause, cached on the program until
+    `Program.add_clause` clears it.  A ground term is used as it stands, so
+    only terms with variables are renamed apart."""
+    code = prog._world_code
+    if code is None:
+        code = {
+            key: [
+                (c.head, is_ground(c.head),
+                 tuple((b, is_ground(b)) for b in reversed(c.body)))
+                for c in clauses
+            ]
+            for key, clauses in prog.clauses.items()
+        }
+        prog._world_code = code
+    return code
+
+
+def holds_in_world(prog: Program, goal, world, read=None) -> bool:
     """Does the ground goal have a derivation in this complete world?
 
     Depth-first, left-to-right SLD resolution with msw read from `world`.
@@ -190,7 +192,9 @@ def holds_in_world(prog: Program, goal, world) -> bool:
     (goals, theta) alternatives still to try, the first clause on top, so a
     proof may be as deep as memory allows.  Each selected goal is one step;
     past WORLD_STEP_LIMIT steps the search raises StepLimitExceeded.
+    `read`, a set, receives every switch-instance key the proof looks up.
     """
+    code = _world_code(prog)
     stack = [((goal, None), {})]
     steps = 0
     while stack:
@@ -218,6 +222,8 @@ def holds_in_world(prog: Program, goal, world) -> bool:
                     if v is None:
                         raise EvalError(f"world does not cover switch instance "
                                         f"{term_to_str(s)}/{term_to_str(inst)}")
+                    if read is not None:
+                        read.add((s, inst))
                     theta = unify(g[3], v, theta)
                     if theta is None:
                         break
@@ -234,17 +240,17 @@ def holds_in_world(prog: Program, goal, world) -> bool:
                 key = (g, 0)
             else:
                 raise EvalError(f"invalid goal: {g!r}")
-            clauses = prog.clauses.get(key)
+            clauses = code.get(key)
             if clauses is None:
                 raise EvalError(f"unknown predicate {key[0]}/{key[1]}")
-            for c in reversed(clauses):
+            for head, head_ground, body in reversed(clauses):
                 mapping = {}
-                theta2 = unify(g, _rename(c.head, mapping), theta)
+                theta2 = unify(g, head if head_ground else _rename(head, mapping), theta)
                 if theta2 is not None:
-                    body = goals
-                    for b in reversed(c.body):
-                        body = (_rename(b, mapping), body)
-                    stack.append((body, theta2))
+                    rest = goals
+                    for b, b_ground in body:
+                        rest = (b if b_ground else _rename(b, mapping), rest)
+                    stack.append((rest, theta2))
             break
         else:
             return True
@@ -252,18 +258,63 @@ def holds_in_world(prog: Program, goal, world) -> bool:
 
 
 def exact_conditional_worlds(prog: Program, query, evidence) -> ExactResult:
+    """Exact ExactResult for cond(query | evidence) by summing over complete
+    worlds, each class of worlds proved once.
+
+    The worlds of `world_universe` are visited as an odometer whose last key
+    changes fastest.  In the current world the query and then the evidence
+    are proved, and `m` is the highest universe position either proof read.
+    A proof is a deterministic function of the keys it read, so every world
+    that agrees with this one on positions 0..m has the same two answers: the
+    class's mass is the product of the declared probabilities at positions
+    0..m (each unread position's outcomes sum to 1), and the odometer
+    advances at position m and resets every position after it.  The sums are
+    those of full enumeration, grouped into fewer and larger terms.  Worlds
+    are visited in full enumeration's order, so a proof that raises raises
+    in the same first world.  `leaf_count` is the number of classes proved.
+    """
+    keys = world_universe(prog)
+    infos = [prog.switch_info(s) for s, _ in keys]
+    count = 1
+    for info in infos:
+        count *= len(info.outcomes)
+        if count > DEFAULT_BRANCH_LIMIT:
+            raise BranchLimitExceeded(f"world count exceeds {DEFAULT_BRANCH_LIMIT}")
+    position = {key: i for i, key in enumerate(keys)}
+    n = len(keys)
+    digits = [0] * n
+    world = {}
+    # mass[i] is the product of the current world's probabilities at
+    # positions 0..i-1
+    mass = [1.0] * (n + 1)
+    changed = 0  # the first position whose outcome is not yet in `world`
     p_q = []
     p_e = []
     p_qe = []
-    count = 0
-    for world, p in iter_worlds(prog):
-        count += 1
-        q_ok = holds_in_world(prog, query, world)
-        e_ok = holds_in_world(prog, evidence, world)
+    classes = 0
+    while True:
+        for i in range(changed, n):
+            info = infos[i]
+            world[keys[i]] = info.outcomes[digits[i]]
+            mass[i + 1] = mass[i] * info.probs[digits[i]]
+        classes += 1
+        read = set()
+        q_ok = holds_in_world(prog, query, world, read)
+        e_ok = holds_in_world(prog, evidence, world, read)
+        m = max(map(position.__getitem__, read), default=-1)
+        p = mass[m + 1]
         if q_ok:
             p_q.append(p)
         if e_ok:
             p_e.append(p)
             if q_ok:
                 p_qe.append(p)
-    return _exact_result(p_q, p_e, p_qe, count, evidence)
+        # advance the odometer at position m, carrying leftwards
+        while m >= 0 and digits[m] == len(infos[m].outcomes) - 1:
+            m -= 1
+        if m < 0:
+            break
+        digits[m] += 1
+        digits[m + 1:] = [0] * (n - m - 1)
+        changed = m
+    return _exact_result(p_q, p_e, p_qe, classes, evidence)

@@ -5,10 +5,15 @@ here assert their agreement so that either one can vouch for sampler
 estimates elsewhere.
 """
 
+import itertools
+import math
+
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from plpmcmc import oracle
-from plpmcmc.evaluator import EvalError
+from plpmcmc.evaluator import EvalError, StepLimitExceeded
 from plpmcmc.lang import parse_program
 from plpmcmc.oracle import (
     BranchLimitExceeded,
@@ -16,19 +21,21 @@ from plpmcmc.oracle import (
     exact_conditional_worlds,
     holds_in_world,
     iter_eval_leaves,
-    iter_worlds,
     world_universe,
 )
 from plpmcmc.worlds import mutually_exclusive, prob
 from plpmcmc.bench import fig1, small_benchmarks
 from test_mcmc import _digest
 
-TINY = parse_program(
-    """
+TINY_DECLS = """
 values(x, [t, f]).
 values(y, [t, f]).
 :- set_sw(x, [0.3, 0.7]).
 :- set_sw(y, [0.6, 0.4]).
+"""
+TINY = parse_program(
+    TINY_DECLS
+    + """
 both :- msw(x, t), msw(y, t).
 either :- msw(x, t).
 either :- msw(y, t).
@@ -127,10 +134,34 @@ def test_unsatisfiable_evidence_is_an_error():
         exact_conditional(prog, ("msw", "x", 0, "t"), "e")
 
 
+def _reference_worlds(prog):
+    """(world, probability) for every complete world, by plain enumeration."""
+    keys = world_universe(prog)
+    infos = [prog.switch_info(s) for s, _ in keys]
+    for combo in itertools.product(*(range(len(i.outcomes)) for i in infos)):
+        world = {key: info.outcomes[k] for key, info, k in zip(keys, infos, combo)}
+        yield world, math.prod(info.probs[k] for info, k in zip(infos, combo))
+
+
+def _reference_sums(prog, query, evidence):
+    """(p_query, p_evidence, p_joint) with both goals proved in every world."""
+    p_q, p_e, p_qe = [], [], []
+    for world, p in _reference_worlds(prog):
+        q_ok = holds_in_world(prog, query, world)
+        e_ok = holds_in_world(prog, evidence, world)
+        if q_ok:
+            p_q.append(p)
+        if e_ok:
+            p_e.append(p)
+            if q_ok:
+                p_qe.append(p)
+    return math.fsum(p_q), math.fsum(p_e), math.fsum(p_qe)
+
+
 def test_world_universe_and_enumeration():
     keys = world_universe(TINY)
     assert set(keys) == {("x", 0), ("y", 0)}
-    worlds = list(iter_worlds(TINY))
+    worlds = list(_reference_worlds(TINY))
     assert len(worlds) == 4
     assert sum(p for _w, p in worlds) == pytest.approx(1.0, abs=1e-12)
     probs = {frozenset(w.items()): p for w, p in worlds}
@@ -145,14 +176,94 @@ def test_holds_in_world():
     assert holds_in_world(TINY, "either", w_ft)
 
 
-def test_world_count_guard():
+def test_world_count_guard(monkeypatch):
     # 2^20 worlds exceed DEFAULT_BRANCH_LIMIT; the count is checked before
     # the first world is decided
+    def prove(*args):
+        raise AssertionError("a world was proved")
+
+    monkeypatch.setattr(oracle, "holds_in_world", prove)
     decls = "".join(
         f"values(s{k}, [t, f]).\n:- set_sw(s{k}, [0.5, 0.5]).\n" for k in range(20)
     )
     prog = parse_program(decls + "q :- msw(s0, t).\n")
     with pytest.raises(BranchLimitExceeded, match="world count"):
+        exact_conditional_worlds(prog, "q", "true")
+
+
+# The world route proves once each class of worlds that agree up to the
+# highest universe position a proof read; the tests below hold it to plain
+# enumeration of every world.  Class counts of programs with 4096 and 1024
+# complete worlds:
+WORLD_CLASSES = {"reach10s4": 771, "chain10p6s16": 48}
+
+
+@pytest.mark.parametrize("case", small_benchmarks(), ids=lambda c: c.name)
+def test_world_classes_match_full_enumeration(case):
+    res = exact_conditional_worlds(case.program, case.query, case.evidence)
+    ref = _reference_sums(case.program, case.query, case.evidence)
+    for got, want in zip((res.p_query, res.p_evidence, res.p_joint), ref):
+        assert got == pytest.approx(want, abs=1e-12)
+    if case.name in WORLD_CLASSES:
+        assert res.leaf_count == WORLD_CLASSES[case.name]
+
+
+def test_proofs_that_read_no_switch_prove_one_class():
+    assert exact_conditional_worlds(TINY, "true", "true").leaf_count == 1
+
+
+def _random_program(draw):
+    """Three to four switches of two or three outcomes, and goals p0..p3 whose
+    clauses read them in any order; p_i calls only p_j with j > i."""
+    n_sw = draw(st.integers(3, 4))
+    sizes = draw(st.lists(st.integers(2, 3), min_size=n_sw, max_size=n_sw))
+    sizes[0] = 3
+    lines = []
+    for k, size in enumerate(sizes):
+        weights = draw(st.lists(st.integers(1, 9), min_size=size, max_size=size))
+        probs = [w / sum(weights) for w in weights]
+        outs = ", ".join(f"o{j}" for j in range(size))
+        lines.append(f"values(s{k}, [{outs}]).")
+        lines.append(f":- set_sw(s{k}, [{', '.join(repr(p) for p in probs)}]).")
+    for i in range(4):
+        for _ in range(draw(st.integers(1, 3))):
+            body = []
+            for _ in range(draw(st.integers(1, 3))):
+                if i < 3 and draw(st.booleans()) and draw(st.booleans()):
+                    body.append(f"p{draw(st.integers(i + 1, 3))}")
+                else:
+                    k = draw(st.integers(0, n_sw - 1))
+                    body.append(f"msw(s{k}, o{draw(st.integers(0, sizes[k] - 1))})")
+            lines.append(f"p{i} :- {', '.join(body)}.")
+    return parse_program("\n".join(lines))
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.data())
+def test_world_classes_match_full_enumeration_on_random_programs(data):
+    prog = _random_program(data.draw)
+    query = data.draw(st.sampled_from(["p0", "p1", "p2", "p3"]), label="query")
+    evidence = data.draw(st.sampled_from(["true", "p0", "p1", "p2", "p3"]), label="evidence")
+    ref = _reference_sums(prog, query, evidence)
+    if ref[1] == 0.0:
+        with pytest.raises(EvalError, match="unsatisfiable"):
+            exact_conditional_worlds(prog, query, evidence)
+        return
+    res = exact_conditional_worlds(prog, query, evidence)
+    for got, want in zip((res.p_query, res.p_evidence, res.p_joint), ref):
+        assert got == pytest.approx(want, abs=1e-12)
+
+
+def test_world_route_keeps_the_step_budget():
+    # the first class (x = t) is proved and skipped; the second loops
+    prog = parse_program(TINY_DECLS + "loop :- loop.\nq :- msw(x, f), loop.\n")
+    with pytest.raises(StepLimitExceeded, match="step budget"):
+        exact_conditional_worlds(prog, "q", "true")
+
+
+def test_world_route_reports_an_uncovered_instance():
+    prog = parse_program(TINY_DECLS + "q :- msw(y, f), msw(x, 1, t).\n")
+    with pytest.raises(EvalError, match="does not cover switch instance x/1"):
         exact_conditional_worlds(prog, "q", "true")
 
 
