@@ -11,11 +11,17 @@ Two deliberately independent routes:
 2. Complete-world enumeration (`exact_conditional_worlds`): sum over every
    total assignment of the declared switches, deciding the goals with a
    plain, substitution-based SLD prover that treats msw as a table lookup.
-   Worlds are visited in order, last switch fastest, and one proof decides
-   every world that agrees with the proved one up to the last switch the
-   proof read: the proof never looked at the rest, and their outcomes' mass
-   sums to 1.  Shares nothing with the sampling engine beyond the term layer
-   in `lang`: the term representation and `unify`.
+   Worlds are visited in order, last switch fastest, and one decision
+   covers every world that agrees with the decided one up to the last
+   switch its proofs read: they never looked at the rest, and their
+   outcomes' mass sums to 1.  A proof is a function of the values it read
+   in first-read order, so each goal keeps a decision trie of its proofs
+   for one call, and a world is proved only when its reads leave the trie
+   (PRISM's tabled explanation search, Sato & Kameya 2001, applied to the
+   world prover).  The prover skips clauses whose head's first argument has
+   another top functor than the call's.  Shares nothing with the sampling
+   engine beyond the term layer in `lang`: the term representation and
+   `unify`.
 
 Both sum with math.fsum, so agreement to 1e-12 is meaningful.
 """
@@ -151,31 +157,64 @@ def world_universe(prog: Program):
 
 
 def _rename(t, mapping):
-    if isinstance(t, Var):
-        v = mapping.get(t)
-        if v is None:
-            v = Var(t.name)
-            mapping[t] = v
-        return v
-    if type(t) is tuple:
-        args = [t[0]]
-        for a in t[1:]:
-            args.append(_rename(a, mapping))
-        return tuple(args)
-    return t
+    """`t` with each variable replaced by its fresh copy in `mapping`, built
+    with an explicit stack of (arguments so far, argument iterator) frames so
+    that a long list does not recurse."""
+    if type(t) is not tuple:
+        if isinstance(t, Var):
+            v = mapping.get(t)
+            if v is None:
+                v = mapping[t] = Var(t.name)
+            return v
+        return t
+    frames = [([t[0]], iter(t[1:]))]
+    while True:
+        args, rest = frames[-1]
+        for a in rest:
+            if type(a) is tuple:
+                frames.append(([a[0]], iter(a[1:])))
+                break
+            if isinstance(a, Var):
+                v = mapping.get(a)
+                if v is None:
+                    v = mapping[a] = Var(a.name)
+                a = v
+            args.append(a)
+        else:
+            frames.pop()
+            if not frames:
+                return tuple(args)
+            frames[-1][0].append(tuple(args))
+
+
+def _first_key(t, theta):
+    """The clause-selection key of `t`'s first argument under `theta`, read
+    from its top functor only (a list is never walked): an atom or integer
+    as itself, a compound as (functor, arity), None for a variable or when
+    `t` has no arguments.  Two terms whose keys are both set and differ
+    cannot unify."""
+    if type(t) is not tuple or len(t) < 2:
+        return None
+    a = walk(t[1], theta)
+    if type(a) is tuple:
+        return (a[0], len(a) - 1)
+    if isinstance(a, Var):
+        return None
+    return a
 
 
 def _world_code(prog: Program):
     """Per-predicate (head, head is ground, reversed body as (goal, goal is
-    ground) pairs) for each clause, cached on the program until
-    `Program.add_clause` clears it.  A ground term is used as it stands, so
-    only terms with variables are renamed apart."""
+    ground) pairs, head's `_first_key`) for each clause, cached on the
+    program until `Program.add_clause` clears it.  A ground term is used as
+    it stands, so only terms with variables are renamed apart."""
     code = prog._world_code
     if code is None:
         code = {
             key: [
                 (c.head, is_ground(c.head),
-                 tuple((b, is_ground(b)) for b in reversed(c.body)))
+                 tuple((b, is_ground(b)) for b in reversed(c.body)),
+                 _first_key(c.head, {}))
                 for c in clauses
             ]
             for key, clauses in prog.clauses.items()
@@ -191,8 +230,14 @@ def holds_in_world(prog: Program, goal, world, read=None) -> bool:
     Goal lists are linked (goal, rest) pairs, and the stack holds the
     (goals, theta) alternatives still to try, the first clause on top, so a
     proof may be as deep as memory allows.  Each selected goal is one step;
-    past WORLD_STEP_LIMIT steps the search raises StepLimitExceeded.
-    `read`, a set, receives every switch-instance key the proof looks up.
+    past WORLD_STEP_LIMIT steps the search raises StepLimitExceeded.  A call
+    skips, before renaming, each clause whose head's first argument has
+    another `_first_key` than the call's.
+
+    `read`, a dict, receives every switch-instance key the proof looks up,
+    mapped to its value, in first-read order.  The proof is a deterministic
+    function of these values in this order: any world that gives the same
+    keys the same values gives the same answer after the same reads.
     """
     code = _world_code(prog)
     stack = [((goal, None), {})]
@@ -223,7 +268,7 @@ def holds_in_world(prog: Program, goal, world, read=None) -> bool:
                         raise EvalError(f"world does not cover switch instance "
                                         f"{term_to_str(s)}/{term_to_str(inst)}")
                     if read is not None:
-                        read.add((s, inst))
+                        read[s, inst] = v
                     theta = unify(g[3], v, theta)
                     if theta is None:
                         break
@@ -243,7 +288,10 @@ def holds_in_world(prog: Program, goal, world, read=None) -> bool:
             clauses = code.get(key)
             if clauses is None:
                 raise EvalError(f"unknown predicate {key[0]}/{key[1]}")
-            for head, head_ground, body in reversed(clauses):
+            first = _first_key(g, theta)
+            for head, head_ground, body, head_first in reversed(clauses):
+                if first is not None and head_first is not None and head_first != first:
+                    continue
                 mapping = {}
                 theta2 = unify(g, head if head_ground else _rename(head, mapping), theta)
                 if theta2 is not None:
@@ -257,21 +305,64 @@ def holds_in_world(prog: Program, goal, world, read=None) -> bool:
     return False
 
 
+def _decide(trie, prog, goal, world, position):
+    """(does `goal` hold in `world`, highest universe position its proof
+    reads, -1 for none), read from `trie` where it can be.
+
+    `trie` holds one goal's proofs as decision paths: its root is stored
+    under None, an internal node is (key, the key's universe position,
+    children by the key's value), and a leaf is the proof's answer.  The
+    walk follows `world`; a missing branch runs `holds_in_world` once and
+    inserts its reads as a path, so each read path is proved at most once.
+    """
+    children, value = trie, None
+    m = -1
+    while True:
+        node = children.get(value)
+        if node is None:
+            break
+        if type(node) is bool:
+            return node, m
+        key, pos, children = node
+        value = world[key]
+        if pos > m:
+            m = pos
+    read = {}
+    ok = holds_in_world(prog, goal, world, read)
+    children, value = trie, None
+    for key, v in read.items():
+        node = children.get(value)
+        if node is None:
+            pos = position[key]
+            node = children[value] = (key, pos, {})
+            if pos > m:
+                m = pos
+        children, value = node[2], v
+    children[value] = ok
+    return ok, m
+
+
 def exact_conditional_worlds(prog: Program, query, evidence) -> ExactResult:
     """Exact ExactResult for cond(query | evidence) by summing over complete
-    worlds, each class of worlds proved once.
+    worlds, each class of worlds decided once and each read path proved once.
 
     The worlds of `world_universe` are visited as an odometer whose last key
     changes fastest.  In the current world the query and then the evidence
-    are proved, and `m` is the highest universe position either proof read.
-    A proof is a deterministic function of the keys it read, so every world
-    that agrees with this one on positions 0..m has the same two answers: the
-    class's mass is the product of the declared probabilities at positions
-    0..m (each unread position's outcomes sum to 1), and the odometer
-    advances at position m and resets every position after it.  The sums are
-    those of full enumeration, grouped into fewer and larger terms.  Worlds
-    are visited in full enumeration's order, so a proof that raises raises
-    in the same first world.  `leaf_count` is the number of classes proved.
+    are decided, and `m` is the highest universe position either proof read.
+    A proof is a deterministic function of the values of the keys it read,
+    in first-read order, so every world that agrees with this one on
+    positions 0..m has the same two answers: the class's mass is the product
+    of the declared probabilities at positions 0..m (each unread position's
+    outcomes sum to 1), and the odometer advances at position m and resets
+    every position after it.  The sums are those of full enumeration,
+    grouped into fewer and larger terms.
+
+    The same fact lets a goal's earlier proofs decide later classes: each
+    goal keeps a decision trie (`_decide`) for the length of this call, and
+    only a class whose reads leave the trie runs `holds_in_world`.  A proof
+    that raises ends the call, so nothing is inserted for it.  Classes are
+    visited in full enumeration's order, so a proof that raises raises in
+    the same first world.  `leaf_count` is the number of classes decided.
     """
     keys = world_universe(prog)
     infos = [prog.switch_info(s) for s, _ in keys]
@@ -288,6 +379,8 @@ def exact_conditional_worlds(prog: Program, query, evidence) -> ExactResult:
     # positions 0..i-1
     mass = [1.0] * (n + 1)
     changed = 0  # the first position whose outcome is not yet in `world`
+    q_trie = {}
+    e_trie = {}
     p_q = []
     p_e = []
     p_qe = []
@@ -298,10 +391,9 @@ def exact_conditional_worlds(prog: Program, query, evidence) -> ExactResult:
             world[keys[i]] = info.outcomes[digits[i]]
             mass[i + 1] = mass[i] * info.probs[digits[i]]
         classes += 1
-        read = set()
-        q_ok = holds_in_world(prog, query, world, read)
-        e_ok = holds_in_world(prog, evidence, world, read)
-        m = max(map(position.__getitem__, read), default=-1)
+        q_ok, m_q = _decide(q_trie, prog, query, world, position)
+        e_ok, m_e = _decide(e_trie, prog, evidence, world, position)
+        m = max(m_q, m_e)
         p = mass[m + 1]
         if q_ok:
             p_q.append(p)

@@ -301,12 +301,26 @@ def test_search_walks_a_long_list(tmp_path, capsys):
     assert 0.0 <= float(CHAIN_LINE.search(capsys.readouterr()[0]).group(1)) <= 1.0
 
 
+def _open_list_fact_program(n):
+    items = ",".join(f"a{k}" for k in range(n))
+    return DEEP_HEAD + f"data([{items}|_]).\nq :- msw(x, t), data(L).\n"
+
+
+@pytest.mark.parametrize("size", [1000, 5000])
+def test_exact_open_tailed_list_fact_under_worlds(size, tmp_path, capsys):
+    # the world prover renames a clause term with variables on an explicit
+    # stack, so an open-tailed list of any length answers
+    path = _write(tmp_path, _open_list_fact_program(size))
+    assert run_cli(["exact", "--program", path, "--query", "q", "--method", "worlds"]) == 0
+    assert parse_exact_output(capsys.readouterr()[0])["p_conditional"] == 0.5
+
+
 def test_too_deep_list_fact_is_one_error_line(tmp_path, capsys):
-    # The world prover renames a clause term with variables recursively, so a
-    # list fact with an open tail of 1000 elements overflows Python's stack.
-    items = ",".join(f"a{k}" for k in range(1000))
-    path = _write(tmp_path, DEEP_HEAD + f"data([{items}|_]).\nq :- msw(x, t), data(L).\n")
-    code = run_cli(["exact", "--program", path, "--query", "q", "--method", "worlds"])
+    # The evaluator builds a clause term with variables recursively, so under
+    # the tree route a list fact with an open tail of 1000 elements overflows
+    # Python's stack.
+    path = _write(tmp_path, _open_list_fact_program(1000))
+    code = run_cli(["exact", "--program", path, "--query", "q", "--method", "tree"])
     out, err = capsys.readouterr()
     assert code in (3, 4)
     assert err.count("\n") == 1 and err.startswith("error: ")

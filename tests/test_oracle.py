@@ -14,7 +14,7 @@ from hypothesis import strategies as st
 
 from plpmcmc import oracle
 from plpmcmc.evaluator import EvalError, StepLimitExceeded
-from plpmcmc.lang import parse_program
+from plpmcmc.lang import parse_goal, parse_program
 from plpmcmc.oracle import (
     BranchLimitExceeded,
     exact_conditional,
@@ -191,21 +191,30 @@ def test_world_count_guard(monkeypatch):
         exact_conditional_worlds(prog, "q", "true")
 
 
-# The world route proves once each class of worlds that agree up to the
-# highest universe position a proof read; the tests below hold it to plain
-# enumeration of every world.  Class counts of programs with 4096 and 1024
-# complete worlds:
+# The world route decides once each class of worlds that agree up to the
+# highest universe position a proof read, and proves each goal at most once
+# per read path; the tests below hold it to plain enumeration of every world.
+# Class and proof counts of programs with 4096 and 1024 complete worlds:
 WORLD_CLASSES = {"reach10s4": 771, "chain10p6s16": 48}
+WORLD_PROOFS = {"reach10s4": 345, "chain10p6s16": 13}
 
 
 @pytest.mark.parametrize("case", small_benchmarks(), ids=lambda c: c.name)
-def test_world_classes_match_full_enumeration(case):
+def test_world_classes_match_full_enumeration(case, monkeypatch):
+    proofs = []
+
+    def counting(*args):
+        proofs.append(args[1])
+        return holds_in_world(*args)
+
+    monkeypatch.setattr(oracle, "holds_in_world", counting)
     res = exact_conditional_worlds(case.program, case.query, case.evidence)
     ref = _reference_sums(case.program, case.query, case.evidence)
     for got, want in zip((res.p_query, res.p_evidence, res.p_joint), ref):
         assert got == pytest.approx(want, abs=1e-12)
     if case.name in WORLD_CLASSES:
         assert res.leaf_count == WORLD_CLASSES[case.name]
+        assert len(proofs) == WORLD_PROOFS[case.name]
 
 
 def test_proofs_that_read_no_switch_prove_one_class():
@@ -252,6 +261,106 @@ def test_world_classes_match_full_enumeration_on_random_programs(data):
     res = exact_conditional_worlds(prog, query, evidence)
     for got, want in zip((res.p_query, res.p_evidence, res.p_joint), ref):
         assert got == pytest.approx(want, abs=1e-12)
+
+
+# First arguments of every kind the world prover's clause filter keys on:
+# atoms (the outcomes o0 and o1 among them), integers, compounds of two
+# arities, the empty list, lists, and variables.
+_GROUND_ARGS = ["a", "o0", "o1", "1", "[]", "f(a)", "f(a, b)", "g(a)", "[a, b]"]
+_ARG_PATTERNS = _GROUND_ARGS + ["X", "X", "Y", "f(X)", "f(X, Y)", "g(X)", "[X|Y]", "[a|X]"]
+
+
+def _random_arg_program(draw):
+    """Three switches of two or three outcomes, and predicates p0..p3 of
+    arity 1 or 2 whose heads and calls have first arguments of every kind;
+    bodies read switches, bind variables to outcomes, call p_j with j > i and
+    hold disjunctions."""
+    sizes = [3] + draw(st.lists(st.integers(2, 3), min_size=2, max_size=2))
+    lines = []
+    for k, size in enumerate(sizes):
+        weights = draw(st.lists(st.integers(1, 9), min_size=size, max_size=size))
+        probs = [w / sum(weights) for w in weights]
+        outs = ", ".join(f"o{j}" for j in range(size))
+        lines.append(f"values(s{k}, [{outs}]).")
+        lines.append(f":- set_sw(s{k}, [{', '.join(repr(p) for p in probs)}]).")
+    arity = [draw(st.integers(1, 2)) for _ in range(4)]
+    pattern = st.sampled_from(_ARG_PATTERNS)
+
+    def atom(i):
+        args = [draw(pattern)] + [draw(st.sampled_from(["X", "Y", "Z", "o0"]))
+                                  for _ in range(arity[i] - 1)]
+        return f"p{i}({', '.join(args)})"
+
+    def goal(i):
+        kind = draw(st.integers(0, 3 if i < 3 else 1))
+        k = draw(st.integers(0, 2))
+        if kind == 0:
+            return f"msw(s{k}, o{draw(st.integers(0, sizes[k] - 1))})"
+        if kind == 1:
+            return f"msw(s{k}, {draw(st.sampled_from(['X', 'Y', 'Z']))})"
+        if kind == 2:
+            return atom(draw(st.integers(i + 1, 3)))
+        return f"({goal(i)} ; {goal(i)})"
+
+    for i in range(4):
+        for _ in range(draw(st.integers(1, 4))):
+            body = [goal(i) for _ in range(draw(st.integers(0, 3)))]
+            lines.append(f"{atom(i)} :- {', '.join(body)}." if body else f"{atom(i)}.")
+    return parse_program("\n".join(lines)), arity
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.data())
+def test_world_route_matches_the_tree_route_on_programs_with_arguments(data):
+    prog, arity = _random_arg_program(data.draw)
+
+    def ground_goal():
+        i = data.draw(st.integers(0, 3))
+        args = [data.draw(st.sampled_from(_GROUND_ARGS))] + [
+            data.draw(st.sampled_from(["o0", "a"])) for _ in range(arity[i] - 1)]
+        return parse_goal(f"p{i}({', '.join(args)})")
+
+    query = ground_goal()
+    evidence = data.draw(st.one_of(st.just("true"), st.builds(ground_goal)), label="evidence")
+    ref = _reference_sums(prog, query, evidence)
+    if ref[1] == 0.0:
+        for route in ROUTES:
+            with pytest.raises(EvalError, match="unsatisfiable"):
+                route(prog, query, evidence)
+        return
+    res = exact_conditional_worlds(prog, query, evidence)
+    tree = exact_conditional(prog, query, evidence)
+    for got, want, tree_got in zip(res[:3], ref, tree[:3]):
+        assert got == pytest.approx(tree_got, abs=1e-12)
+        assert got == pytest.approx(want, abs=1e-12)
+
+
+def test_a_proof_that_raises_in_a_later_class_raises_in_the_same_world(monkeypatch):
+    # The evidence reads y in every world, so each world is its own class;
+    # in world (t, f) the query's trie decides q without a proof, and in
+    # (f, t) the query's new read path loops.
+    prog = parse_program(TINY_DECLS + "loop :- loop.\nq :- msw(x, t).\nq :- loop.\n"
+                         "e :- (msw(y, t) ; msw(y, f)).\n")
+
+    def first_raising_world():
+        for world, _p in _reference_worlds(prog):
+            try:
+                holds_in_world(prog, "q", world)
+                holds_in_world(prog, "e", world)
+            except StepLimitExceeded:
+                return world
+
+    proofs = []
+
+    def recording(prog, goal, world, read=None):
+        proofs.append((goal, world[("x", 0)], world[("y", 0)]))
+        return holds_in_world(prog, goal, world, read)
+
+    monkeypatch.setattr(oracle, "holds_in_world", recording)
+    with pytest.raises(StepLimitExceeded, match="step budget"):
+        exact_conditional_worlds(prog, "q", "e")
+    assert proofs == [("q", "t", "t"), ("e", "t", "t"), ("e", "t", "f"), ("q", "f", "t")]
+    assert first_raising_world() == {("x", 0): "f", ("y", 0): "t"}
 
 
 def test_world_route_keeps_the_step_budget():
