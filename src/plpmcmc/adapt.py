@@ -17,7 +17,7 @@ independent sampling.
 from __future__ import annotations
 
 import random
-from collections.abc import Mapping
+from types import MappingProxyType
 from typing import NamedTuple
 
 from .lang import Program
@@ -64,76 +64,34 @@ class _Group:
         self.floor = None
 
 
-class _View(Mapping):
-    """Read-only mapping from a store's keys to one record field: `q` over
-    every key with a Q-value, `total` and `count` over the updated keys."""
-
-    __slots__ = ("_recs", "_field")
-
-    def __init__(self, recs, field):
-        self._recs = recs
-        self._field = field
-
-    def _has(self, rec):
-        return self._field == "q" or rec.count > 0
-
-    def __getitem__(self, key):
-        rec = self._recs.get(key)
-        if rec is None or not self._has(rec):
-            raise KeyError(key)
-        return getattr(rec, self._field)
-
-    def __iter__(self):
-        return (key for key, rec in self._recs.items() if self._has(rec))
-
-    def __len__(self):
-        if self._field == "q":
-            return len(self._recs)
-        return sum(1 for rec in self._recs.values() if rec.count > 0)
-
-
-class _QView(_View):
-    """The `q` mapping; writing a Q-value by hand drops the cached vector."""
-
-    __slots__ = ("_store",)
-
-    def __init__(self, store):
-        super().__init__(store._recs, "q")
-        self._store = store
-
-    def __setitem__(self, key, value):
-        rec = self._store._record(key)
-        rec.q = value
-        if rec.group is not None:
-            rec.group.vec = None
-
-
 class QStore:
     """Per-(switch, instance, outcome) Q-value, cumulative reward and count.
 
-    Each key has one record.  The records of a switch instance's outcomes
-    share a group, built the first time the instance is adapted or its
-    adapted vector is asked for, which holds them in outcome order together
-    with their declared probabilities; an outcome without a Q-value has a
-    record (Q = 1) in its group but no entry in `q`.  `q`, `total` and
-    `count` read the records as mappings, in the order keys first got a
-    Q-value; `q` also accepts writes.  A store serves one program.
+    Each updated key has one record.  The records of a switch instance's
+    outcomes share a group, built the first time the instance is adapted or
+    its adapted vector is asked for, which holds them in outcome order
+    together with their declared probabilities; an outcome never updated has
+    a record (Q = 1) in its group but not in the store.  `items()` reads the
+    records in the order keys were first updated, and `q` is a read-only
+    snapshot of their Q-values.  A store serves one program.
     """
 
-    __slots__ = ("mode", "_recs", "_groups", "q", "total", "count")
+    __slots__ = ("mode", "_recs", "_groups")
 
     def __init__(self, mode=AVERAGING):
         if mode not in (AVERAGING, LAST_REWARD):
             raise ValueError(f"unknown QStore mode {mode!r}")
         self.mode = mode
-        self._recs = {}  # keys with a Q-value -> record
+        self._recs = {}  # updated keys -> record
         self._groups = {}  # (switch, instance) -> group
-        self.q = _QView(self)
-        self.total = _View(self._recs, "total")
-        self.count = _View(self._recs, "count")
+
+    @property
+    def q(self):
+        """Q-value by updated key, in update order (a read-only snapshot)."""
+        return MappingProxyType({key: rec.q for key, rec in self._recs.items()})
 
     def _record(self, key):
-        """The record of `key`, given a Q-value if it had none."""
+        """The record of `key`, added to the store if it was not in it."""
         rec = self._recs.get(key)
         if rec is None:
             g = self._groups.get(key[:2])
@@ -190,11 +148,7 @@ def adapt(trace, reward, store: QStore, prog: Program):
         # A subclass's `update` decides what changes; read the records after.
         for key in rtrace:
             store.update(key, r)
-            rec = recs.get(key)
-            g = None if rec is None else rec.group
-            if g is None:
-                g = store._group(key[0], key[1], prog.switch_info(key[0]))
-            r = _expected_q(g)
+            r = _expected_q(store._group(key[0], key[1], prog.switch_info(key[0])))
         return store
     # QStore's own update, done here with one lookup per key.  Each key is
     # looked up when its turn comes, after the later positions' updates.

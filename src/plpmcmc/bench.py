@@ -440,12 +440,3 @@ def small_benchmarks() -> list[BenchCase]:
         if case.n_switches > 12:
             raise AssertionError(f"{case.name} exceeds the 12-switch budget")
     return cases
-
-
-FAMILIES = {
-    "reach": lambda seed: random_reach(6, seed=seed, extra_edges=3),
-    "bn": lambda seed: gen_bn(2, 2, 2, seed=seed),
-    "hamming": lambda seed: gen_hamming(4, observe_count=3, seed=seed),
-    "grammar": lambda seed: gen_grammar(8, 2),
-    "chain": lambda seed: gen_chain(10, 6, seed=seed),
-}

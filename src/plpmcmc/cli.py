@@ -356,8 +356,9 @@ def main(argv=None) -> int:
         print(f"error: {e}", file=sys.stderr)
         return e.code
     except (PlpError, OSError, RecursionError) as e:
-        # a RecursionError is a term nested deeper than the parser or the
-        # engines' term walkers can follow
+        # a RecursionError is a term nested deeper than the parser can read
+        # or than Python can hash or compare as a tuple; the engines' own
+        # term walkers do not recurse
         print(f"error: {e}", file=sys.stderr)
         return 4
 

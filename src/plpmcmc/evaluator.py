@@ -147,7 +147,8 @@ def _unify(a, b, trail):
 
 
 def _build_fill(t, frame):
-    """Instantiate a clause template; slots not yet bound get fresh cells."""
+    """Instantiate a clause template; slots not yet bound get fresh cells.
+    Built on an explicit stack, so a long list does not recurse."""
     tt = type(t)
     if tt is Slot:
         v = frame[t.i]
@@ -156,18 +157,43 @@ def _build_fill(t, frame):
         return v
     if tt is not tuple:
         return t
-    n = len(t)
-    if n == 2:
-        return (t[0], _build_fill(t[1], frame))
-    if n == 3:
-        return (t[0], _build_fill(t[1], frame), _build_fill(t[2], frame))
-    return (t[0],) + tuple(_build_fill(a, frame) for a in t[1:])
+    stack = []
+    args = [t[0]]
+    k = 1
+    while True:
+        n = len(t)
+        while k < n:
+            a = t[k]
+            ta = type(a)
+            if ta is Slot:
+                v = frame[a.i]
+                if v is None:
+                    v = frame[a.i] = Cell()
+                args.append(v)
+            elif ta is tuple:
+                break
+            else:
+                args.append(a)
+            k += 1
+        else:
+            g = tuple(args)
+            if not stack:
+                return g
+            t, args = stack.pop()
+            args.append(g)
+            k = len(args)
+            continue
+        stack.append((t, args))
+        t = a
+        args = [a[0]]
+        k = 1
 
 
-def _ground(t, frame):
-    """The ground term `t` denotes, its clause variables read through `frame`,
-    or None when a variable in it is unbound.  `t` itself is returned when
-    nothing in it needs rewriting."""
+def _ground(t, frame=None):
+    """The ground term `t` denotes, its clause variables read through `frame`
+    and its cells dereferenced, or None when a variable in it is unbound; `t`
+    itself when nothing in it is rewritten.  One pass on an explicit stack of
+    (term, args so far, rewritten) frames, so a long list does not recurse."""
     tt = type(t)
     if tt is Slot:
         t = frame[t.i]
@@ -177,62 +203,44 @@ def _ground(t, frame):
         tt = type(t)
     if tt is not tuple:
         return t
+    stack = []
     args = [t[0]]
-    same = True
-    for a in t[1:]:
-        ta = type(a)
-        if ta is tuple or ta is Slot or ta is Cell:
-            g = _ground(a, frame)
-            if g is None:
+    rewritten = False
+    k = 1
+    while True:
+        n = len(t)
+        while k < n:
+            a = t[k]
+            ta = type(a)
+            if ta is Slot:
+                a = frame[a.i]
+                ta = type(a)
+            while ta is Cell:
+                a = a.ref
+                ta = type(a)
+            if ta is tuple:
+                break
+            if a is None:
                 return None
-            if g is not a:
-                same = False
-            a = g
-        args.append(a)
-    return t if same else tuple(args)
-
-
-def _index_key(t):
-    """`_ground` for a call's first argument, the key looked up in its
-    predicate's index, walked with explicit stacks so that a long list does
-    not recurse: the ground term, or None when a cell in it is unbound.  `t`
-    itself is returned when no cell is in it."""
-    tt = type(t)
-    while tt is Cell:
-        t = t.ref
-        tt = type(t)
-    if tt is not tuple:
-        return t
-    stack = [t]
-    cells = False
-    while stack:
-        u = stack.pop()
-        if type(u) is Cell:
-            u = _deref(u)
-            if type(u) is Cell:
-                return None
-            cells = True
-        if type(u) is tuple:
-            stack.extend(u[1:])
-    if not cells:
-        return t
-    # Rebuild without cells, as `_compile_clause`'s template does: a list
-    # holding a compound term marks where its arguments are collected.
-    out = []
-    stack = [t]
-    while stack:
-        u = stack.pop()
-        if type(u) is list:
-            k = len(out) - len(u[0]) + 1
-            out[k:] = [(u[0][0], *out[k:])]
-            continue
-        u = _deref(u)
-        if type(u) is tuple:
-            stack.append([u])
-            stack.extend(reversed(u[1:]))
+            if a is not t[k]:
+                rewritten = True
+            args.append(a)
+            k += 1
         else:
-            out.append(u)
-    return out[0]
+            g = tuple(args) if rewritten else t
+            if not stack:
+                return g
+            t, args, rewritten = stack.pop()
+            if g is not t[len(args)]:
+                rewritten = True
+            args.append(g)
+            k = len(args)
+            continue
+        stack.append((t, args, rewritten))
+        t = a
+        args = [a[0]]
+        rewritten = False
+        k = 1
 
 
 def _undo(trail, mark):
@@ -256,10 +264,10 @@ def _undo(trail, mark):
 # instantiates it otherwise.  A frame entry that is first filled after the
 # frame was made always holds a fresh cell, so a frame revisited after
 # backtracking still reads as the clause's variables did at that point.  Only
-# two places need a ground term: the switch key of an msw node whose switch or
-# instance holds variables, from `_ground`, and a call's first argument looked
-# up in its predicate's index, from `_index_key`, which walks a list of any
-# length.
+# two places need a ground term, and `_ground` reads both: the switch key of
+# an msw node whose switch or instance holds variables, through the frame,
+# and a call's first argument looked up in its predicate's index, without.
+# Neither `_ground` nor `_build_fill` recurses.
 
 _CALL, _MSW, _CONJ, _DISJ, _TRUE, _VAR, _INVALID = range(7)
 _TRUE_NODE = (_TRUE,)
@@ -472,7 +480,7 @@ def run_first(prog: Program, goal, assignment, picker,
                     # search keeps the full list, whose shuffle it draws.
                     cl = index[1]
                 else:
-                    k1 = _index_key(x0)
+                    k1 = _ground(x0)
                     if k1 is not None:
                         cl = index[0].get(k1, index[1])
             if shuffle is not None and len(cl) > 1:

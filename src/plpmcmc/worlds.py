@@ -22,21 +22,6 @@ def sample_outcome(outcomes, probs, rng):
     return outcomes[-1]
 
 
-_MISSING = object()
-
-
-def mutually_exclusive(a, b) -> bool:
-    """True iff the two assignments disagree on some shared switch instance
-    (their world sets are then disjoint)."""
-    if len(b) < len(a):
-        a, b = b, a
-    for key, v in a.items():
-        w = b.get(key, _MISSING)
-        if w is not _MISSING and w != v:
-            return True
-    return False
-
-
 def prob(assignment, prog: Program) -> float:
     """Product of the original outcome probabilities of all entries.
 

@@ -1,0 +1,38 @@
+"""Helpers that only the tests use: exclusivity of partial assignments, the
+benchmark generator families by seed, and a Q-store record read through
+`QStore.items()`.  The file name keeps pytest from collecting it; test
+modules import it as a helper."""
+
+from plpmcmc.bench import gen_bn, gen_chain, gen_grammar, gen_hamming, random_reach
+
+_MISSING = object()
+
+
+def mutually_exclusive(a, b) -> bool:
+    """True iff the two assignments disagree on some shared switch instance
+    (their world sets are then disjoint)."""
+    if len(b) < len(a):
+        a, b = b, a
+    for key, v in a.items():
+        w = b.get(key, _MISSING)
+        if w is not _MISSING and w != v:
+            return True
+    return False
+
+
+FAMILIES = {
+    "reach": lambda seed: random_reach(6, seed=seed, extra_edges=3),
+    "bn": lambda seed: gen_bn(2, 2, 2, seed=seed),
+    "hamming": lambda seed: gen_hamming(4, observe_count=3, seed=seed),
+    "grammar": lambda seed: gen_grammar(8, 2),
+    "chain": lambda seed: gen_chain(10, 6, seed=seed),
+}
+
+
+def record(store, key):
+    """(Q, count, total) of `key` in a Q-store, read through `items()`;
+    (1.0, 0, 0.0) for a key never updated."""
+    for k, q, count, total in store.items():
+        if k == key:
+            return q, count, total
+    return 1.0, 0, 0.0

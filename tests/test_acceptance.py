@@ -24,6 +24,7 @@ from exact_kernel import (
     evidence_rejection_rate,
     stationary_distribution,
 )
+from helpers import mutually_exclusive, record
 from plpmcmc.adapt import QStore, independent_sampler
 from plpmcmc.bench import (
     fig1,
@@ -35,7 +36,6 @@ from plpmcmc.bench import (
 from plpmcmc.evaluator import sample_eval
 from plpmcmc.mcmc import ChainConfig, MultiSwitch, SingleSwitch, run_chain
 from plpmcmc.oracle import exact_conditional, exact_conditional_worlds
-from plpmcmc.worlds import mutually_exclusive
 from test_adapt import increment_within_bound
 
 N = 100_000
@@ -220,9 +220,9 @@ def test_07_adaptation_increments_diminish(fig1_case):
         __slots__ = ()
 
         def update(self, key, reward):
-            c_before, q_before = self.count.get(key, 0), self.q_value(key)
+            c_before, q_before = record(self, key)[1], self.q_value(key)
             super().update(key, reward)
-            q_new = self.q[key]
+            q_new = self.q_value(key)
             updates.append(key)
             if not increment_within_bound(q_before, q_new, c_before):
                 violations.append((key, c_before, q_before, q_new))

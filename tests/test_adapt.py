@@ -8,6 +8,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from helpers import record
 from plpmcmc.adapt import (
     AVERAGING,
     LAST_REWARD,
@@ -66,8 +67,8 @@ def test_single_triple_rewards():
     store = QStore()
     adapt([("a", 0, "t")], 1, store, AB)
     assert store.q[("a", 0, "t")] == 1.0
-    assert store.count[("a", 0, "t")] == 1
-    assert store.total[("a", 0, "t")] == 1.0
+    assert record(store, ("a", 0, "t"))[1] == 1
+    assert record(store, ("a", 0, "t"))[2] == 1.0
 
     store = QStore()
     adapt([("a", 0, "t")], 0, store, AB)
@@ -95,13 +96,13 @@ def test_repeated_adaptation_averages():
     assert store.q[("y", 0, "f")] == pytest.approx(0.5, abs=1e-15)
     # second reward to x: 0.6*1 + 0.4*0.5 = 0.8; mean(0.6, 0.8) = 0.7
     assert store.q[("x", 0, "t")] == pytest.approx(0.7, abs=1e-15)
-    assert store.count[("x", 0, "t")] == 2
+    assert record(store, ("x", 0, "t"))[1] == 2
 
 
 def test_duplicate_triples_update_once_per_occurrence():
     store = QStore()
     adapt([("a", 0, "t"), ("a", 0, "t")], 0, store, AB)
-    assert store.count[("a", 0, "t")] == 2
+    assert record(store, ("a", 0, "t"))[1] == 2
     # later occurrence first: Q=0, then reward 0.3*0+0.7*1=0.7 so Q=0.35
     assert store.q[("a", 0, "t")] == pytest.approx(0.35, abs=1e-15)
 
@@ -112,13 +113,38 @@ def test_empty_trace_is_a_noop():
     assert not store.q
 
 
+def test_q_is_a_read_only_snapshot_of_the_updated_keys():
+    store = QStore()
+    adapt([("a", 0, "t"), ("b", 0, "f"), ("a", 0, "t")], 0, store, AB)
+    # the group built for a, 0 holds a record for ("a", 0, "f"), which was
+    # never updated and so is not in `q`
+    assert len(store.q) == 2 == len(list(store.items()))
+    assert list(store.q) == [("a", 0, "t"), ("b", 0, "f")]
+    with pytest.raises(TypeError):
+        store.q[("a", 0, "f")] = 0.5
+    snapshot = store.q
+    store.update(("a", 0, "f"), 1)
+    assert ("a", 0, "f") not in snapshot
+    assert len(store.q) == 3
+
+
+@pytest.mark.parametrize("mode", [AVERAGING, LAST_REWARD])
+@pytest.mark.parametrize("reward", [0.0, 1e-9, 0.25, 0.7, 1.0])
+def test_one_update_on_a_fresh_key_sets_q_to_the_reward(mode, reward):
+    store = QStore(mode)
+    store.update(("x", 0, "t"), reward)
+    assert store.q[("x", 0, "t")] == reward
+    assert store.q_value(("x", 0, "t")) == reward
+    assert record(store, ("x", 0, "t")) == (reward, 1, reward)
+
+
 def test_last_reward_mode_overwrites():
     store = QStore(LAST_REWARD)
     adapt([("a", 0, "t")], 1, store, AB)
     adapt([("a", 0, "t")], 0, store, AB)
     assert store.q[("a", 0, "t")] == 0.0
     # count still tracked for diagnostics even though Q ignores it
-    assert store.count[("a", 0, "t")] == 2
+    assert record(store, ("a", 0, "t"))[1] == 2
 
 
 trace_strategy = st.lists(
@@ -148,8 +174,8 @@ def test_adapt_matches_naive_recomputation(episodes):
     assert set(store.q) == set(q)
     for key in q:
         assert store.q[key] == pytest.approx(q[key], abs=1e-12)
-        assert store.count[key] == counts[key]
-        assert store.total[key] == pytest.approx(totals[key], abs=1e-12)
+        assert record(store, key)[1] == counts[key]
+        assert record(store, key)[2] == pytest.approx(totals[key], abs=1e-12)
 
 
 @settings(max_examples=200, deadline=None)
@@ -198,9 +224,9 @@ def test_every_update_respects_diminishing_bound():
         __slots__ = ()
 
         def update(self, key, reward):
-            c_before, q_before = self.count.get(key, 0), self.q_value(key)
+            c_before, q_before = record(self, key)[1], self.q_value(key)
             super().update(key, reward)
-            seen.append(increment_within_bound(q_before, self.q[key], c_before))
+            seen.append(increment_within_bound(q_before, self.q_value(key), c_before))
 
     store = Audited()
     for _ in range(300):
@@ -233,7 +259,7 @@ def test_unadapted_switch_returns_declared_vector_object():
 def test_uniform_q_cancels():
     store = QStore()
     for v in ("t", "f"):
-        store.q[("a", 0, v)] = 0.4
+        store.update(("a", 0, v), 0.4)
     info = AB.switch_info("a")
     assert adapted_probs(store, "a", 0, info) is info.probs
 
@@ -245,8 +271,8 @@ def test_floored_zero_q():
         "values(s,[u,v]). :- set_sw(s,[0.9,0.1])."
     )
     store = QStore()
-    store.q[("s", 0, "u")] = 0.0
-    store.q[("s", 0, "v")] = 1.0
+    store.update(("s", 0, "u"), 0.0)
+    store.update(("s", 0, "v"), 1.0)
     dist = adapted_probs(store, "s", 0, prog.switch_info("s"))
     expect0 = (0.9 * Q_FLOOR) / (0.9 * Q_FLOOR + 0.1)
     assert dist[0] == pytest.approx(expect0, rel=1e-12)
@@ -260,16 +286,16 @@ def test_adapted_dist_sums_to_one_and_scale_invariant():
     for _ in range(50):
         store = QStore()
         qa, qb = rng.uniform(0.01, 1.0), rng.uniform(0.01, 1.0)
-        store.q[("x", 0, "t")] = qa
-        store.q[("x", 0, "f")] = qb
+        store.update(("x", 0, "t"), qa)
+        store.update(("x", 0, "f"), qb)
         dist = adapted_probs(store, "x", 0, info)
         assert math.fsum(dist) == pytest.approx(1.0, abs=1e-12)
         # scaling both Q-values by a common factor (staying above the floor)
         # leaves the normalized vector unchanged
         scale = rng.uniform(0.5, 1.0)
         scaled = QStore()
-        scaled.q[("x", 0, "t")] = qa * scale
-        scaled.q[("x", 0, "f")] = qb * scale
+        scaled.update(("x", 0, "t"), qa * scale)
+        scaled.update(("x", 0, "f"), qb * scale)
         dist2 = adapted_probs(scaled, "x", 0, info)
         for p, p2 in zip(dist, dist2):
             assert p == pytest.approx(p2, rel=1e-9)
@@ -287,7 +313,7 @@ def test_adapted_source_caches_until_store_changes():
     assert second[0] > first[0]
 
 
-def test_adapted_source_drops_its_cached_vector_on_update_and_q_write():
+def test_adapted_source_drops_its_cached_vector_on_each_update():
     store = QStore()
     store.update(("x", 0, "t"), 0)
     info = XY.switch_info("x")
@@ -298,7 +324,7 @@ def test_adapted_source_drops_its_cached_vector_on_update_and_q_write():
     second = src("x", 0, info)
     assert second is not first
     assert second == adapted_probs(store, "x", 0, info)
-    store.q[("x", 0, "t")] = 0.9
+    store.update(("x", 0, "t"), 1)
     third = src("x", 0, info)
     assert third != second
     assert third == adapted_probs(store, "x", 0, info)
@@ -311,7 +337,7 @@ def test_adapted_source_drops_its_cached_vector_on_update_and_q_write():
 
 def test_ratio_reads_vectors_computed_under_its_own_floor():
     store = QStore()
-    store.q[("x", 0, "t")] = 0.0
+    store.update(("x", 0, "t"), 0.0)
     info = XY.switch_info("x")
     AdaptedSource(store, floor=0.5)("x", 0, info)  # caches a 0.5-floored vector
     vec = adapted_probs(store, "x", 0, info)
@@ -378,7 +404,7 @@ class LoggedQStore(QStore):
         self.log = []
 
     def update(self, key, reward):
-        self.log.append((key, self.count.get(key, 0), self.q_value(key), reward))
+        self.log.append((key, record(self, key)[1], self.q_value(key), reward))
         super().update(key, reward)
 
 
@@ -416,7 +442,6 @@ store_key = st.one_of(
 store_ops = st.lists(
     st.one_of(
         st.tuples(st.just("adapt"), st.lists(store_key, max_size=6), st.sampled_from([0.0, 1.0])),
-        st.tuples(st.just("write"), store_key, st.sampled_from([0.0, 0.25, 1e-9, 0.7])),
         st.tuples(st.just("probs"), st.sampled_from(["a", "b", "c"]), st.sampled_from([0, 1]),
                   st.sampled_from([Q_FLOOR, 0.02, 0.5])),
     ),
@@ -434,9 +459,6 @@ def test_store_matches_a_store_of_plain_dicts(kind, mode, ops):
         if op[0] == "adapt":
             adapt(op[1], op[2], store, ABC)
             ref.adapt(op[1], op[2], ABC)
-        elif op[0] == "write":
-            store.q[op[1]] = op[2]
-            ref.q[op[1]] = op[2]
         else:
             _, s, i, floor = op
             info = ABC.switch_info(s)
@@ -445,8 +467,8 @@ def test_store_matches_a_store_of_plain_dicts(kind, mode, ops):
             assert got == want
             assert (got is info.probs) == (want is info.probs)
         assert list(store.q.items()) == list(ref.q.items())
-        assert dict(store.count) == ref.count
-        assert dict(store.total) == ref.total
+        assert {row[0]: row[2] for row in store.items()} == ref.count
+        assert {row[0]: row[3] for row in store.items()} == ref.total
     updated = [k for k in ref.q if k in ref.count]
     assert [row for row in store.items() if row[2]] == [
         (k, ref.q[k], ref.count[k], ref.total[k]) for k in updated

@@ -4,8 +4,8 @@ import random
 
 import pytest
 
+from helpers import FAMILIES
 from plpmcmc.bench import (
-    FAMILIES,
     fig1,
     gen_bn,
     gen_chain,

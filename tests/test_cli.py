@@ -315,11 +315,25 @@ def test_exact_open_tailed_list_fact_under_worlds(size, tmp_path, capsys):
     assert parse_exact_output(capsys.readouterr()[0])["p_conditional"] == 0.5
 
 
-def test_too_deep_list_fact_is_one_error_line(tmp_path, capsys):
-    # The evaluator builds a clause term with variables recursively, so under
-    # the tree route a list fact with an open tail of 1000 elements overflows
-    # Python's stack.
-    path = _write(tmp_path, _open_list_fact_program(1000))
+@pytest.mark.parametrize("size", [1000, 5000])
+def test_open_tailed_list_fact_under_tree_and_chains(size, tmp_path, capsys):
+    # the evaluator builds a clause term with variables on an explicit stack,
+    # so the tree route and chains answer on an open-tailed list of any length
+    text = _open_list_fact_program(size)
+    path = _write(tmp_path, text)
+    assert run_cli(["exact", "--program", path, "--query", "q", "--method", "tree"]) == 0
+    assert parse_exact_output(capsys.readouterr()[0])["p_conditional"] == 0.5
+    result = run_chain(parse_program(text), "q", "true", ChainConfig(steps=200, seed=0))
+    assert 0.0 < result.estimate < 1.0
+
+
+def test_too_deep_compound_is_one_error_line(tmp_path, capsys):
+    # The parser reads a compound term recursively, so a term nested 5000
+    # deep overflows Python's stack.
+    term = "a"
+    for _ in range(5000):
+        term = f"f({term})"
+    path = _write(tmp_path, DEEP_HEAD + f"data({term}).\nq :- msw(x, t), data(L).\n")
     code = run_cli(["exact", "--program", path, "--query", "q", "--method", "tree"])
     out, err = capsys.readouterr()
     assert code in (3, 4)

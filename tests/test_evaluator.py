@@ -8,6 +8,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from helpers import mutually_exclusive
 from plpmcmc import evaluator
 from plpmcmc.adapt import AdaptedSource, QStore
 from plpmcmc.bench import fig1, gen_bn, small_benchmarks
@@ -21,7 +22,7 @@ from plpmcmc.evaluator import (
 )
 from plpmcmc.lang import Clause, parse_goal, parse_program, term_to_str
 from plpmcmc.oracle import exact_conditional, holds_in_world, world_universe
-from plpmcmc.worlds import mutually_exclusive, sample_outcome
+from plpmcmc.worlds import sample_outcome
 
 TWO_COINS = parse_program(
     """
@@ -180,6 +181,27 @@ c :- msw(q(a), f(I), t).
         sample_eval(prog, "b", {}, rng=random.Random(0))
     with pytest.raises(EvalError, match="msw instance is not ground"):
         sample_eval(prog, "c", {}, rng=random.Random(0))
+
+
+def test_ground_keys_read_a_variable_two_compounds_deep():
+    # the msw key of `r` and the index key of `q`'s call hold X inside f(_)
+    # inside g(_), so the inner rewrite must reach the outer term
+    prog = parse_program(
+        """
+values(s(_), [t, f]).
+:- set_sw(s(g(f(a))), [0.5, 0.5]).
+v(a).
+p(g(f(a))) :- msw(s(g(f(a))), t).
+p(g(f(b))).
+q :- v(X), p(g(f(X))).
+r :- v(X), msw(s(g(f(X))), t).
+"""
+    )
+    key = (("s", ("g", ("f", "a"))), 0)
+    for goal in ("q", "r"):
+        res = sample_eval(prog, goal, {key: "t"}, rng=None)
+        assert res.success and res.trace == [(*key, "t")]
+        assert run_first(prog, goal, {key: "t"}, None) == (True, {key: "t"}, [(*key, "t")])
 
 
 def test_step_limit():
@@ -361,7 +383,7 @@ def _memo_case(k):
     store = QStore()
     for s in case.program.dists:
         for v in case.program.switch_info(s).outcomes:
-            store.q[(s, 0, v)] = rng.uniform(0.05, 1.0)
+            store.update((s, 0, v), rng.uniform(0.05, 1.0))
     source = AdaptedSource(store)
     for n in range(300):
         for goal in (case.query, case.evidence):

@@ -20,6 +20,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from exact_kernel import build_transition_system, leaf_weight, stationary_distribution
+from helpers import record
 from plpmcmc import evaluator
 from plpmcmc.adapt import AdaptedSource, QStore
 from plpmcmc.bench import fig1, gen_bn, small_benchmarks
@@ -211,7 +212,7 @@ def test_adaptive_ratio_hand_computed():
     # Q(x,t)=0.5 gives P'(x) = (0.15, 0.7)/0.85; flipping x from t to f has
     # ratio P'(t)/P(t) * P(f)/P'(f) = 0.5 exactly in real arithmetic
     store = QStore()
-    store.q[("x", 0, "t")] = 0.5
+    store.update(("x", 0, "t"), 0.5)
     src = AdaptedSource(store)
     cur = {("x", 0): "t", ("y", 0): "t"}
     prop = {("x", 0): "f", ("y", 0): "t"}
@@ -266,9 +267,9 @@ def test_kernel_is_exactly_stationary(label, problem, strategy, store_kind):
         source = None
     elif store_kind == "handmade":
         store = QStore()
-        store.q[("x", 0, "t")] = 0.35
-        store.q[("y", 0, "t")] = 0.9
-        store.q[("y", 0, "f")] = 0.2
+        store.update(("x", 0, "t"), 0.35)
+        store.update(("y", 0, "t"), 0.9)
+        store.update(("y", 0, "f"), 0.2)
         source = AdaptedSource(store)
     elif store_kind == "trained":
         source = AdaptedSource(_trained_store(prog, query, evidence))
@@ -339,7 +340,7 @@ def test_sampled_evidence_frequencies_match_leaf_weights(base):
 
 def test_adapted_sampling_matches_adapted_leaf_weights():
     store = QStore()
-    store.q[("x", 0, "t")] = 0.25
+    store.update(("x", 0, "t"), 0.25)
     src = AdaptedSource(store)
     dist = {}
     for ok, sigma in iter_eval_leaves(DISJ, "e", {}):
@@ -608,8 +609,8 @@ e :- msw(x, t).
     )
     q = parse_goal("msw(x, t)")
     res = run_chain(dup, q, "e", ChainConfig(steps=300, seed=4, adaptive=True))
-    assert res.qstore.count.get(("x", 0, "f"), 0) == 2 * res.evidence_rejections
-    assert res.qstore.count.get(("x", 0, "t"), 0) == res.steps - res.evidence_rejections
+    assert record(res.qstore, ("x", 0, "f"))[1] == 2 * res.evidence_rejections
+    assert record(res.qstore, ("x", 0, "t"))[1] == res.steps - res.evidence_rejections
 
 
 def test_adaptive_chain_on_conjunctive_evidence():
@@ -634,7 +635,7 @@ q :- msw(y, t), msw(z, t).
     assert plain.estimate == pytest.approx(truth, abs=0.02)
     assert adap.estimate == pytest.approx(truth, abs=0.02)
     assert adap.evidence_rejections < plain.evidence_rejections / 2
-    assert adap.qstore is not None and adap.qstore.count
+    assert adap.qstore is not None and any(row[2] for row in adap.qstore.items())
 
 
 def test_chain_family_runs_for_every_seed_and_strategy():

@@ -12,6 +12,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from helpers import mutually_exclusive
 from plpmcmc import oracle
 from plpmcmc.evaluator import EvalError, StepLimitExceeded
 from plpmcmc.lang import parse_goal, parse_program
@@ -23,7 +24,7 @@ from plpmcmc.oracle import (
     iter_eval_leaves,
     world_universe,
 )
-from plpmcmc.worlds import mutually_exclusive, prob
+from plpmcmc.worlds import prob
 from plpmcmc.bench import fig1, small_benchmarks
 from test_mcmc import _digest
 

@@ -5,8 +5,9 @@ import random
 import pytest
 from hypothesis import given, strategies as st
 
+from helpers import mutually_exclusive
 from plpmcmc.lang import parse_program
-from plpmcmc.worlds import mutually_exclusive, prob, sample_outcome
+from plpmcmc.worlds import prob, sample_outcome
 
 PROG = parse_program(
     """
