@@ -112,10 +112,6 @@ class QStore:
                 rec.group = g
         return g
 
-    def q_value(self, key) -> float:
-        rec = self._recs.get(key)
-        return 1.0 if rec is None else rec.q
-
     def update(self, key, reward):
         rec = self._record(key)
         t_new = rec.total + reward

@@ -4,7 +4,8 @@ Subcommands:
     run       MCMC (or, with --markovian on, adaptive independent) sampling
     exact     brute-force exact inference
     genbench  write a generated benchmark program plus its manifest
-    qdump     run an adaptive sampler and dump the learned Q-table as CSV
+    qdump     run `run`'s sampler with fixed settings (single switch, adaptation
+              on, one chain, no burn-in) and dump the learned Q-table as CSV
 
 Exit codes: 0 ok, 2 usage, 3 parse error, 4 runtime error.
 """
@@ -37,18 +38,6 @@ def _on(value: str) -> bool:
     return value == "on"
 
 
-def _load_program(path: str):
-    try:
-        with open(path, "r", encoding="utf-8") as fh:
-            text = fh.read()
-    except OSError as e:
-        raise _Fail(4, f"cannot read program file: {e}")
-    try:
-        return parse_program(text)
-    except (ParseError, ProgramError, RecursionError) as e:
-        raise _Fail(3, f"cannot parse {path}: {e}")
-
-
 def _parse_goal_arg(text: str, what: str):
     try:
         return parse_goal(text)
@@ -56,30 +45,47 @@ def _parse_goal_arg(text: str, what: str):
         raise _Fail(3, f"cannot parse {what}: {e}")
 
 
+def _inputs(args):
+    """The program, query and evidence that `run`, `exact` and `qdump` read."""
+    try:
+        with open(args.program, "r", encoding="utf-8") as fh:
+            text = fh.read()
+    except OSError as e:
+        raise _Fail(4, f"cannot read program file: {e}")
+    try:
+        prog = parse_program(text)
+    except (ParseError, ProgramError, RecursionError) as e:
+        raise _Fail(3, f"cannot parse {args.program}: {e}")
+    return (prog, _parse_goal_arg(args.query, "query"),
+            _parse_goal_arg(args.evidence, "evidence"))
+
+
 def _build_parser() -> argparse.ArgumentParser:
+    inputs = argparse.ArgumentParser(add_help=False)
+    inputs.add_argument("--program", required=True)
+    inputs.add_argument("--query", required=True)
+    inputs.add_argument("--evidence", default="true")
+    sampler = argparse.ArgumentParser(add_help=False)
+    sampler.add_argument("--samples", type=int, required=True)
+    sampler.add_argument("--seed", type=int, default=0)
+    sampler.add_argument("--markovian", choices=["on", "off"], default="off")
+    sampler.add_argument("--step-limit", type=int, default=DEFAULT_STEP_LIMIT)
+
     ap = argparse.ArgumentParser(prog="plpmcmc")
     sub = ap.add_subparsers(dest="command", required=True)
 
-    run = sub.add_parser("run", help="sample a conditional query")
-    run.add_argument("--program", required=True)
-    run.add_argument("--query", required=True)
-    run.add_argument("--evidence", default="true")
-    run.add_argument("--samples", type=int, required=True)
+    run = sub.add_parser("run", parents=[inputs, sampler],
+                         help="sample a conditional query")
     run.add_argument("--burnin", type=int, default=0)
     run.add_argument("--resample", choices=["single", "multi"], default=None)
     run.add_argument("--multi-prob", type=float, default=0.5)
     run.add_argument("--adapt", choices=["on", "off"], default="off")
-    run.add_argument("--markovian", choices=["on", "off"], default="off")
-    run.add_argument("--seed", type=int, default=0)
     run.add_argument("--chains", type=int, default=1)
     run.add_argument("--csv", default=None)
-    run.add_argument("--step-limit", type=int, default=DEFAULT_STEP_LIMIT)
     run.set_defaults(func=_cmd_run)
 
-    exact = sub.add_parser("exact", help="exact conditional by enumeration")
-    exact.add_argument("--program", required=True)
-    exact.add_argument("--query", required=True)
-    exact.add_argument("--evidence", default="true")
+    exact = sub.add_parser("exact", parents=[inputs],
+                           help="exact conditional by enumeration")
     exact.add_argument("--method", choices=["tree", "worlds"], default="tree")
     exact.add_argument("--csv", default=None)
     exact.set_defaults(func=_cmd_exact)
@@ -101,23 +107,57 @@ def _build_parser() -> argparse.ArgumentParser:
     gen.add_argument("--prefix", type=int, default=6)
     gen.set_defaults(func=_cmd_genbench)
 
-    qd = sub.add_parser("qdump", help="dump learned Q-values as CSV")
-    qd.add_argument("--program", required=True)
-    qd.add_argument("--query", required=True)
-    qd.add_argument("--evidence", default="true")
-    qd.add_argument("--samples", type=int, required=True)
-    qd.add_argument("--seed", type=int, default=0)
-    qd.add_argument("--markovian", choices=["on", "off"], default="off")
-    qd.add_argument("--step-limit", type=int, default=DEFAULT_STEP_LIMIT)
+    qd = sub.add_parser("qdump", parents=[inputs, sampler],
+                        help="dump learned Q-values as CSV")
     qd.add_argument("--out", default=None, help="CSV path (default: stdout)")
-    qd.set_defaults(func=_cmd_qdump)
+    # `run`'s settings, fixed: one single-switch adaptive chain, no burn-in, no rows
+    qd.set_defaults(func=_cmd_qdump, burnin=0, resample=None, multi_prob=0.5,
+                    adapt="on", chains=1, csv=None)
 
     return ap
 
 
 # ---------------------------------------------------------------------------
-# run
+# run and qdump
 # ---------------------------------------------------------------------------
+
+
+def _check(args):
+    """The usage checks of `run` and `qdump`, in the order they report."""
+    if args.samples <= 0:
+        raise _Fail(2, "--samples must be positive")
+    if args.burnin < 0:
+        raise _Fail(2, "--burnin cannot be negative")
+    if args.chains <= 0:
+        raise _Fail(2, "--chains must be positive")
+    if args.step_limit <= 0:
+        raise _Fail(2, "--step-limit must be positive")
+    if _on(args.markovian) and args.resample is not None:
+        raise _Fail(2, "--markovian on draws independent samples; --resample does not apply")
+    if _on(args.markovian) and args.csv is not None:
+        raise _Fail(2, "--csv is not available with --markovian on")
+    if not (0.0 < args.multi_prob <= 1.0):
+        raise _Fail(2, "--multi-prob must be in (0, 1]")
+
+
+def _chains(args, prog, query, evidence):
+    """Yield the result of each of `args.chains` chains, seeded `args.seed + k`:
+    an `IndependentResult` with --markovian on, else a `ChainResult`."""
+    strategy = MultiSwitch(args.multi_prob) if args.resample == "multi" else SingleSwitch()
+    for k in range(args.chains):
+        if _on(args.markovian):
+            yield independent_sampler(prog, query, evidence, args.samples,
+                                      seed=args.seed + k, step_limit=args.step_limit)
+        else:
+            yield run_chain(prog, query, evidence, ChainConfig(
+                steps=args.samples,
+                burn_in=args.burnin,
+                strategy=strategy,
+                adaptive=_on(args.adapt),
+                seed=args.seed + k,
+                step_limit=args.step_limit,
+                collect_rows=args.csv is not None,
+            ))
 
 
 def _echo_manifest(pairs):
@@ -132,14 +172,6 @@ def _write_csv(path, rows):
             fh.write(f"{it},{est!r},{int(acc)},{int(e_ok)},{cum_rej},{us}\n")
 
 
-def _print_pooled(estimates):
-    """The `pooled:` summary line of a multi-chain run."""
-    if len(estimates) > 1:
-        pooled = statistics.fmean(estimates)
-        spread = statistics.pstdev(estimates)
-        print(f"pooled: estimate={pooled:.6f} chains={len(estimates)} spread={spread:.6f}")
-
-
 def _chain_csv_path(base: str, k: int) -> str:
     if "." in base.rsplit("/", 1)[-1]:
         stem, ext = base.rsplit(".", 1)
@@ -148,26 +180,10 @@ def _chain_csv_path(base: str, k: int) -> str:
 
 
 def _cmd_run(args) -> int:
-    if args.samples <= 0:
-        raise _Fail(2, "--samples must be positive")
-    if args.burnin < 0:
-        raise _Fail(2, "--burnin cannot be negative")
-    if args.chains <= 0:
-        raise _Fail(2, "--chains must be positive")
-    if args.step_limit <= 0:
-        raise _Fail(2, "--step-limit must be positive")
+    _check(args)
+    prog, query, evidence = _inputs(args)
     markovian = _on(args.markovian)
-    if markovian and args.resample is not None:
-        raise _Fail(2, "--markovian on draws independent samples; --resample does not apply")
-    if markovian and args.csv is not None:
-        raise _Fail(2, "--csv is not available with --markovian on")
     resample = args.resample or "single"
-    if not (0.0 < args.multi_prob <= 1.0):
-        raise _Fail(2, "--multi-prob must be in (0, 1]")
-
-    prog = _load_program(args.program)
-    query = _parse_goal_arg(args.query, "query")
-    evidence = _parse_goal_arg(args.evidence, "evidence")
     _echo_manifest([
         ("program", args.program),
         ("query", args.query),
@@ -183,36 +199,34 @@ def _cmd_run(args) -> int:
         ("chains", args.chains),
         ("step_limit", args.step_limit),
     ])
-
-    if markovian:
-        return _run_independent(args, prog, query, evidence)
-    return _run_mcmc(args, prog, query, evidence, resample)
-
-
-def _run_mcmc(args, prog, query, evidence, resample) -> int:
-    strategy = MultiSwitch(args.multi_prob) if resample == "multi" else SingleSwitch()
     estimates = []
     chain_rows = []
-    for k in range(args.chains):
-        kwargs = dict(
-            steps=args.samples,
-            burn_in=args.burnin,
-            strategy=strategy,
-            adaptive=_on(args.adapt),
-            seed=args.seed + k,
-            step_limit=args.step_limit,
-            collect_rows=args.csv is not None,
-        )
-        result = run_chain(prog, query, evidence, ChainConfig(**kwargs))
-        estimates.append(result.estimate)
-        chain_rows.append(result.rows)
-        total = result.burn_in + result.steps
-        rej = result.evidence_rejections / total
+    for k, res in enumerate(_chains(args, prog, query, evidence)):
+        estimates.append(res.estimate)
+        if markovian:
+            violations = len(res.monotonicity_violations)
+            print(
+                f"chain {k}: estimate={res.estimate:.6f} "
+                f"evidence_ok={res.evidence_successes}/{res.samples} "
+                f"joint_ok={res.joint_successes} "
+                f"monotonicity_violations={violations}"
+            )
+            if violations:
+                print(
+                    f"chain {k}: note: per-key rewards were not monotone "
+                    f"({violations} increases); the program/query "
+                    "pair is likely not Markovian",
+                    file=sys.stderr,
+                )
+            continue
+        chain_rows.append(res.rows)
+        total = res.burn_in + res.steps
         print(
-            f"chain {k}: estimate={result.estimate:.6f} "
-            f"accepted={result.accepted}/{total} "
-            f"evidence_rejections={result.evidence_rejections} "
-            f"rejection_rate={rej:.4f} elapsed_s={result.elapsed_s:.3f}"
+            f"chain {k}: estimate={res.estimate:.6f} "
+            f"accepted={res.accepted}/{total} "
+            f"evidence_rejections={res.evidence_rejections} "
+            f"rejection_rate={res.evidence_rejections / total:.4f} "
+            f"elapsed_s={res.elapsed_s:.3f}"
         )
     if args.csv is not None:
         if args.chains > 1:
@@ -220,32 +234,26 @@ def _run_mcmc(args, prog, query, evidence, resample) -> int:
             for k, rows in enumerate(chain_rows):
                 _write_csv(_chain_csv_path(args.csv, k), rows)
         _write_csv(args.csv, [row for rows in chain_rows for row in rows])
-    _print_pooled(estimates)
+    if len(estimates) > 1:
+        pooled = statistics.fmean(estimates)
+        spread = statistics.pstdev(estimates)
+        print(f"pooled: estimate={pooled:.6f} chains={len(estimates)} spread={spread:.6f}")
     return 0
 
 
-def _run_independent(args, prog, query, evidence) -> int:
-    estimates = []
-    for k in range(args.chains):
-        res = independent_sampler(
-            prog, query, evidence, args.samples, seed=args.seed + k,
-            step_limit=args.step_limit,
-        )
-        estimates.append(res.estimate)
-        print(
-            f"chain {k}: estimate={res.estimate:.6f} "
-            f"evidence_ok={res.evidence_successes}/{res.samples} "
-            f"joint_ok={res.joint_successes} "
-            f"monotonicity_violations={len(res.monotonicity_violations)}"
-        )
-        if res.monotonicity_violations:
-            print(
-                f"chain {k}: note: per-key rewards were not monotone "
-                f"({len(res.monotonicity_violations)} increases); the program/query "
-                "pair is likely not Markovian",
-                file=sys.stderr,
-            )
-    _print_pooled(estimates)
+def _cmd_qdump(args) -> int:
+    _check(args)
+    store = next(_chains(args, *_inputs(args))).qstore
+    lines = ["switch,instance,outcome,q,count,total"]
+    for (s, i, v), q, c, t in store.items():
+        lines.append(f"{term_to_str(s)},{term_to_str(i)},{term_to_str(v)},{q!r},{c},{t!r}")
+    text = "\n".join(lines) + "\n"
+    if args.out is None:
+        sys.stdout.write(text)
+    else:
+        with open(args.out, "w", encoding="utf-8") as fh:
+            fh.write(text)
+        print(f"wrote {args.out}")
     return 0
 
 
@@ -255,9 +263,7 @@ def _run_independent(args, prog, query, evidence) -> int:
 
 
 def _cmd_exact(args) -> int:
-    prog = _load_program(args.program)
-    query = _parse_goal_arg(args.query, "query")
-    evidence = _parse_goal_arg(args.evidence, "evidence")
+    prog, query, evidence = _inputs(args)
     fn = exact_conditional if args.method == "tree" else exact_conditional_worlds
     res = fn(prog, query, evidence)
     print(f"p_query: {res.p_query!r}")
@@ -311,40 +317,6 @@ def _cmd_genbench(args) -> int:
         fh.write(case.manifest_text())
     print(f"wrote {prog_path}")
     print(f"wrote {man_path}")
-    return 0
-
-
-# ---------------------------------------------------------------------------
-# qdump
-# ---------------------------------------------------------------------------
-
-
-def _cmd_qdump(args) -> int:
-    if args.samples <= 0:
-        raise _Fail(2, "--samples must be positive")
-    if args.step_limit <= 0:
-        raise _Fail(2, "--step-limit must be positive")
-    prog = _load_program(args.program)
-    query = _parse_goal_arg(args.query, "query")
-    evidence = _parse_goal_arg(args.evidence, "evidence")
-    if _on(args.markovian):
-        store = independent_sampler(
-            prog, query, evidence, args.samples, seed=args.seed, step_limit=args.step_limit
-        ).qstore
-    else:
-        cfg = ChainConfig(steps=args.samples, adaptive=True, seed=args.seed,
-                          step_limit=args.step_limit)
-        store = run_chain(prog, query, evidence, cfg).qstore
-    lines = ["switch,instance,outcome,q,count,total"]
-    for (s, i, v), q, c, t in store.items():
-        lines.append(f"{term_to_str(s)},{term_to_str(i)},{term_to_str(v)},{q!r},{c},{t!r}")
-    text = "\n".join(lines) + "\n"
-    if args.out is None:
-        sys.stdout.write(text)
-    else:
-        with open(args.out, "w", encoding="utf-8") as fh:
-            fh.write(text)
-        print(f"wrote {args.out}")
     return 0
 
 

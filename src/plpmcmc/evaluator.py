@@ -39,6 +39,12 @@ probabilities, so plain and adaptive chains and the independent sampler all
 share it; it is cached beside the compiled clause tables, cleared with them
 by `Program.add_clause`, and cleared when it reaches `MEMO_NODE_CAP` nodes.
 The tree oracle calls `run_first` directly and never reads it.
+
+Assignments: an assignment is a plain dict `{(switch, instance): outcome}`
+whose keys and values are ground terms.  It stands for the set of possible
+worlds that agree with it, and is the state of the MCMC chain.  Insertion
+order is preserved by Python dicts, which keeps runs bit-reproducible for a
+fixed seed.
 """
 
 from __future__ import annotations
@@ -46,7 +52,6 @@ from __future__ import annotations
 from typing import NamedTuple
 
 from .lang import Program, PlpError, Var, is_ground, term_to_str
-from .worlds import sample_outcome
 
 DEFAULT_STEP_LIMIT = 10**6
 
@@ -688,6 +693,17 @@ def _insert(memo, goal, ok, sigma, trace, steps_out):
         node = owner.get(v)
     owner[last] = (ok, tuple([pos[(t[0], t[1])] for t in trace]), steps_out[-1])
     memo.nodes += 1
+
+
+def sample_outcome(outcomes, probs, rng):
+    """One categorical draw using a single rng.random() and a CDF walk."""
+    r = rng.random()
+    acc = 0.0
+    for k in range(len(outcomes) - 1):
+        acc += probs[k]
+        if r < acc:
+            return outcomes[k]
+    return outcomes[-1]
 
 
 def _draw(prog, key, dist, rng):

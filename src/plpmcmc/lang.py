@@ -281,11 +281,6 @@ class Program:
             self._switch_cache[s] = info
         return info
 
-    def __eq__(self, other):
-        if not isinstance(other, Program):
-            return NotImplemented
-        return program_to_str(self) == program_to_str(other)
-
     def __repr__(self):
         n = sum(len(v) for v in self.clauses.values())
         return f"<Program {n} clauses, {len(self.values_decls)} values, {len(self.dists)} switches>"

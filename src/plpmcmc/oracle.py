@@ -34,6 +34,7 @@ from typing import NamedTuple
 from .lang import (
     PlpError,
     Program,
+    ProgramError,
     Var,
     is_ground,
     resolve,
@@ -42,7 +43,6 @@ from .lang import (
     walk,
 )
 from .evaluator import EvalError, StepLimitExceeded, run_first
-from .worlds import prob
 
 DEFAULT_BRANCH_LIMIT = 10**6
 WORLD_STEP_LIMIT = 200000
@@ -74,6 +74,21 @@ def _exact_result(q_terms, e_terms, qe_terms, leaf_count, evidence) -> ExactResu
 # ---------------------------------------------------------------------------
 # Oracle 1: exhaustive re-execution of the sampling evaluator
 # ---------------------------------------------------------------------------
+
+
+def prob(assignment, prog: Program) -> float:
+    """Product of the declared probabilities of an assignment's outcomes
+    (the mass of the worlds that agree with it); 1 for the empty one."""
+    p = 1.0
+    for (s, _i), v in assignment.items():
+        info = prog.switch_info(s)
+        k = info.index.get(v)
+        if k is None:
+            raise ProgramError(
+                f"outcome {term_to_str(v)} is not declared for switch {term_to_str(s)}"
+            )
+        p *= info.probs[k]
+    return p
 
 
 def iter_eval_leaves(prog: Program, goal, base):

@@ -1,8 +1,9 @@
 """Helpers that only the tests use: exclusivity of partial assignments, the
-benchmark generator families by seed, and a Q-store record read through
-`QStore.items()`.  The file name keeps pytest from collecting it; test
-modules import it as a helper."""
+benchmark generator families by seed, a Q-store record read through
+`QStore.items()`, and a Q-store that never learns.  The file name keeps
+pytest from collecting it; test modules import it as a helper."""
 
+from plpmcmc.adapt import QStore
 from plpmcmc.bench import gen_bn, gen_chain, gen_grammar, gen_hamming, random_reach
 
 _MISSING = object()
@@ -36,3 +37,12 @@ def record(store, key):
         if k == key:
             return q, count, total
     return 1.0, 0, 0.0
+
+
+class FrozenStore(QStore):
+    """A Q-store that never learns: all Q-values stay at their initial 1."""
+
+    __slots__ = ()
+
+    def update(self, key, reward):
+        pass

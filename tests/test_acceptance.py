@@ -24,7 +24,7 @@ from exact_kernel import (
     evidence_rejection_rate,
     stationary_distribution,
 )
-from helpers import mutually_exclusive, record
+from helpers import FrozenStore, mutually_exclusive, record
 from plpmcmc.adapt import QStore, independent_sampler
 from plpmcmc.bench import (
     fig1,
@@ -41,15 +41,6 @@ from test_adapt import increment_within_bound
 N = 100_000
 SEEDS = range(5)
 FIG1_COND = 0.8883691880638446  # P(reach(a,d) | reach(a,e)), oracle-computed
-
-
-class FrozenStore(QStore):
-    """A Q-store that never learns: all Q-values stay at their initial 1."""
-
-    __slots__ = ()
-
-    def update(self, key, reward):
-        pass
 
 
 @pytest.fixture(scope="module")
@@ -220,9 +211,9 @@ def test_07_adaptation_increments_diminish(fig1_case):
         __slots__ = ()
 
         def update(self, key, reward):
-            c_before, q_before = record(self, key)[1], self.q_value(key)
+            q_before, c_before, _ = record(self, key)
             super().update(key, reward)
-            q_new = self.q_value(key)
+            q_new = record(self, key)[0]
             updates.append(key)
             if not increment_within_bound(q_before, q_new, c_before):
                 violations.append((key, c_before, q_before, q_new))

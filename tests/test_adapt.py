@@ -8,7 +8,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from helpers import record
+from helpers import FrozenStore, record
 from plpmcmc.adapt import (
     AVERAGING,
     LAST_REWARD,
@@ -134,7 +134,6 @@ def test_one_update_on_a_fresh_key_sets_q_to_the_reward(mode, reward):
     store = QStore(mode)
     store.update(("x", 0, "t"), reward)
     assert store.q[("x", 0, "t")] == reward
-    assert store.q_value(("x", 0, "t")) == reward
     assert record(store, ("x", 0, "t")) == (reward, 1, reward)
 
 
@@ -224,9 +223,9 @@ def test_every_update_respects_diminishing_bound():
         __slots__ = ()
 
         def update(self, key, reward):
-            c_before, q_before = record(self, key)[1], self.q_value(key)
+            q_before, c_before, _ = record(self, key)
             super().update(key, reward)
-            seen.append(increment_within_bound(q_before, self.q_value(key), c_before))
+            seen.append(increment_within_bound(q_before, record(self, key)[0], c_before))
 
     store = Audited()
     for _ in range(300):
@@ -384,13 +383,6 @@ class DictStore:
         return tuple(w / total for w in weights)
 
 
-class FrozenQStore(QStore):
-    __slots__ = ()
-
-    def update(self, key, reward):
-        pass
-
-
 class FrozenDictStore(DictStore):
     def update(self, key, reward):
         pass
@@ -404,7 +396,8 @@ class LoggedQStore(QStore):
         self.log = []
 
     def update(self, key, reward):
-        self.log.append((key, record(self, key)[1], self.q_value(key), reward))
+        q, count, _ = record(self, key)
+        self.log.append((key, count, q, reward))
         super().update(key, reward)
 
 
@@ -420,7 +413,7 @@ class LoggedDictStore(DictStore):
 
 STORE_PAIRS = {
     "plain": (QStore, DictStore),
-    "frozen": (FrozenQStore, FrozenDictStore),
+    "frozen": (FrozenStore, FrozenDictStore),
     "logged": (LoggedQStore, LoggedDictStore),
 }
 

@@ -46,8 +46,8 @@ def test_catalogue_parses_within_switch_budget(catalogue):
 
 def test_catalogue_round_trips_through_rendering(catalogue):
     for case in catalogue:
-        again = parse_program(program_to_str(case.program))
-        assert again == case.program, case.name
+        text = program_to_str(case.program)
+        assert program_to_str(parse_program(text)) == text, case.name
 
 
 def test_catalogue_evidence_satisfiable(catalogue):

@@ -1,13 +1,15 @@
 """Command-line interface: exit codes, output formats, file artifacts."""
 
+import argparse
 import random
 import re
 
 import pytest
 
-from plpmcmc.cli import CSV_HEADER, main
+from plpmcmc.adapt import independent_sampler
+from plpmcmc.cli import CSV_HEADER, _build_parser, main
 from plpmcmc.evaluator import initial_sample
-from plpmcmc.lang import parse_program
+from plpmcmc.lang import parse_program, term_to_str
 from plpmcmc.mcmc import ChainConfig, run_chain
 
 PROG_TEXT = """\
@@ -199,6 +201,64 @@ def test_run_runtime_error_is_exit_4(prog_path, capsys):
     _out, err = capsys.readouterr()
     assert code == 4
     assert "error: " in err
+
+
+INPUTS = {
+    "--program": (None, None, True),
+    "--query": (None, None, True),
+    "--evidence": ("true", None, False),
+}
+SAMPLER = {
+    "--samples": (None, None, True),
+    "--seed": (0, None, False),
+    "--markovian": ("off", ["on", "off"], False),
+    "--step-limit": (10**6, None, False),
+}
+# (default, choices, required) of every option of every subcommand
+OPTIONS = {
+    "run": {
+        **INPUTS, **SAMPLER,
+        "--burnin": (0, None, False),
+        "--resample": (None, ["single", "multi"], False),
+        "--multi-prob": (0.5, None, False),
+        "--adapt": ("off", ["on", "off"], False),
+        "--chains": (1, None, False),
+        "--csv": (None, None, False),
+    },
+    "exact": {
+        **INPUTS,
+        "--method": ("tree", ["tree", "worlds"], False),
+        "--csv": (None, None, False),
+    },
+    "genbench": {
+        "--family": (None, ["fig1", "reach", "bn", "hamming", "grammar", "chain"], True),
+        "--out": (None, None, True),
+        "--seed": (0, None, False),
+        "--rows": (2, None, False),
+        "--cols": (2, None, False),
+        "--evidence-count": (2, None, False),
+        "--data-bits": (4, None, False),
+        "--observe": (3, None, False),
+        "--length": (8, None, False),
+        "--level": (2, None, False),
+        "--vertices": (6, None, False),
+        "--extra-edges": (3, None, False),
+        "--prefix": (6, None, False),
+    },
+    "qdump": {**INPUTS, **SAMPLER, "--out": (None, None, False)},
+}
+
+
+def test_subcommand_options_are_pinned():
+    sub = next(a for a in _build_parser()._actions
+               if isinstance(a, argparse._SubParsersAction))
+    assert sub.choices.keys() == OPTIONS.keys()
+    for name, parser in sub.choices.items():
+        got = {
+            a.option_strings[0]: (a.default, a.choices, a.required)
+            for a in parser._actions if a.option_strings and a.dest != "help"
+        }
+        assert got == OPTIONS[name], name
 
 
 def test_unknown_subcommand_exits_2():
@@ -438,6 +498,20 @@ def test_qdump_markovian_to_file(prog_path, tmp_path, capsys):
     lines = out_path.read_text(encoding="utf-8").splitlines()
     assert lines[0] == "switch,instance,outcome,q,count,total"
     assert len(lines) > 1
+    # the rows are the independent sampler's Q-store, as the library gives it
+    store = independent_sampler(parse_program(PROG_TEXT), "q", "e", 200).qstore
+    assert lines[1:] == [
+        f"{term_to_str(s)},{term_to_str(i)},{term_to_str(v)},{q!r},{c},{t!r}"
+        for (s, i, v), q, c, t in store.items()
+    ]
+
+
+def test_qdump_fixed_settings_are_not_options(prog_path):
+    # qdump runs `run`'s sampler with burn-in, chains, strategy and adaptation fixed
+    with pytest.raises(SystemExit) as exc:
+        main(["qdump", "--program", prog_path, "--query", "q", "--samples", "10",
+              "--burnin", "1"])
+    assert exc.value.code == 2
 
 
 def test_qdump_usage_error(prog_path, capsys):

@@ -19,10 +19,10 @@ from plpmcmc.evaluator import (
     initial_sample,
     run_first,
     sample_eval,
+    sample_outcome,
 )
 from plpmcmc.lang import Clause, parse_goal, parse_program, term_to_str
 from plpmcmc.oracle import exact_conditional, holds_in_world, world_universe
-from plpmcmc.worlds import sample_outcome
 
 TWO_COINS = parse_program(
     """

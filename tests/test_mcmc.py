@@ -20,7 +20,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from exact_kernel import build_transition_system, leaf_weight, stationary_distribution
-from helpers import record
+from helpers import FrozenStore, record
 from plpmcmc import evaluator
 from plpmcmc.adapt import AdaptedSource, QStore
 from plpmcmc.bench import fig1, gen_bn, small_benchmarks
@@ -35,8 +35,7 @@ from plpmcmc.mcmc import (
     resample,
     run_chain,
 )
-from plpmcmc.oracle import exact_conditional, iter_eval_leaves
-from plpmcmc.worlds import prob
+from plpmcmc.oracle import exact_conditional, iter_eval_leaves, prob
 
 DISJ = parse_program(
     """
@@ -60,15 +59,6 @@ e :- msw(c(2), 1).
 q :- msw(c(1), 1), msw(c(2), 1).
 """
 )
-
-
-class FrozenStore(QStore):
-    """A Q-store that never learns: all Q-values stay at their initial 1."""
-
-    __slots__ = ()
-
-    def update(self, key, reward):
-        pass
 
 
 # -- resample --------------------------------------------------------------
@@ -306,7 +296,7 @@ def test_chain_source_keeps_defensive_mass_on_trained_fig1_store():
         prog, query, evidence, ChainConfig(steps=1500, seed=0, adaptive=True)
     ).qstore
     starved = (("r", "a", "c"), 0, "f")
-    assert store.q_value(starved) < DEFENSIVE_FLOOR
+    assert record(store, starved)[0] < DEFENSIVE_FLOOR
     source = AdaptedSource(store, floor=DEFENSIVE_FLOOR)
     checked = set()
     for s, i, _v in list(store.q):

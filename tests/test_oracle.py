@@ -22,9 +22,9 @@ from plpmcmc.oracle import (
     exact_conditional_worlds,
     holds_in_world,
     iter_eval_leaves,
+    prob,
     world_universe,
 )
-from plpmcmc.worlds import prob
 from plpmcmc.bench import fig1, small_benchmarks
 from test_mcmc import _digest
 

@@ -7,7 +7,8 @@ from hypothesis import given, strategies as st
 
 from helpers import mutually_exclusive
 from plpmcmc.lang import parse_program
-from plpmcmc.worlds import prob, sample_outcome
+from plpmcmc.evaluator import sample_outcome
+from plpmcmc.oracle import prob
 
 PROG = parse_program(
     """
