@@ -21,12 +21,10 @@ trail) so deep derivations do not hit Python's recursion limit.  Programs are
 compiled once into goal nodes (see "Compiled goals" below), and this module is
 the only one that knows that format: `lang.Clause` keeps the parsed head and
 body terms, and `_compile_clause` turns them into templates in which each
-clause variable is a `Slot`, an index into the clause's frame; one unifier,
-`_unify`, serves both runtime terms and clause heads.  Clause selection uses
-first-argument indexing: for a ground first argument only the clauses that
-could match it are tried, in textual order.  Skipped clauses are exactly
-those whose head unification would have failed, so derivation order is
-unchanged.
+clause variable is a `Slot`, an index into the clause's frame, and heads into
+match instructions.  Clause selection uses first-argument indexing, which
+skips exactly the clauses whose head would fail to match, so derivation
+order is unchanged.
 
 Evaluation tries: for a fixed goal the engine is deterministic given the
 value each switch instance takes at its first consult, so `sample_eval`
@@ -49,6 +47,7 @@ fixed seed.
 
 from __future__ import annotations
 
+from collections import Counter
 from typing import NamedTuple
 
 from .lang import Program, PlpError, Var, is_ground, term_to_str
@@ -146,6 +145,39 @@ def _unify(a, b, trail):
             stack.extend(zip(x[1:], y[1:]))
             continue
         if x == y and type(x) is type(y):
+            continue
+        return False
+    return True
+
+
+def _match(t, x, frame, trail, fresh):
+    """Unify the clause-head template `t` with the runtime term `x` without
+    instantiating `t` first (see "Compiled goals" below).  With `fresh`, no
+    variable of `t` occurs twice in the head."""
+    stack = [(t, x)]
+    while stack:
+        t, x = stack.pop()
+        while type(x) is Cell and x.ref is not None:
+            x = x.ref
+        tt = type(t)
+        if tt is Slot:
+            v = frame[t.i]
+            if v is None:
+                frame[t.i] = x
+                continue
+            if _unify(x, v, trail):
+                continue
+        elif type(x) is Cell:
+            b = _build_fill(t, frame)
+            if fresh or type(b) is not tuple or not _occurs(x, b):
+                x.ref = b
+                trail.append(x)
+                continue
+        elif tt is tuple:
+            if type(x) is tuple and len(x) == len(t) and x[0] == t[0]:
+                stack.extend(zip(t[1:], x[1:]))
+                continue
+        elif x == t and type(x) is type(t):
             continue
         return False
     return True
@@ -261,41 +293,75 @@ def _undo(trail, mark):
 # bodies are compiled once per program into goal nodes, and the goal list
 # holds (node, frame, rest) triples: a body goal is read out of its clause's
 # frame only when it is selected.  A call node resolves its arguments once
-# (`xs`), and every candidate clause head is unified against them; a head of
+# (`xs`), and every candidate clause head is matched against them; a head of
 # distinct variables, the common case, is matched by copying `xs` into the new
-# frame.  Any other head binds each variable argument to its `xs` entry and
-# unifies each compound argument with its entry by `_unify`, taking the
-# argument as it is when fixed (no clause variable in it) and as `_build_fill`
-# instantiates it otherwise.  A frame entry that is first filled after the
-# frame was made always holds a fresh cell, so a frame revisited after
-# backtracking still reads as the clause's variables did at that point.  Only
-# two places need a ground term, and `_ground` reads both: the switch key of
-# an msw node whose switch or instance holds variables, through the frame,
-# and a call's first argument looked up in its predicate's index, without.
-# Neither `_ground` nor `_build_fill` recurses.
+# frame.  A frame entry that is first filled after the frame was made always
+# holds a fresh cell, so a frame revisited after backtracking still reads as
+# the clause's variables did at that point.  No term walker recurses.  The
+# compiler also records what it knows, and the loop relies on it:
+#
+# - Head instructions (the WAM's get_variable / get_value split, Warren
+#   1983).  A head variable at its first occurrence takes its `xs` entry with
+#   no cell, since the frame is new; a later one is unified with it.  A
+#   ground argument binds an unbound cell with no occurs check, since it holds
+#   no cell.  `_match` matches any other compound in place: a variable with
+#   an empty frame entry takes the subterm it meets, and an unbound cell
+#   takes its part of the argument as `_build_fill` makes it, with no occurs
+#   check if every variable of the argument occurs once in the head (the part
+#   then holds only new cells).  So walking a ground list is linear.
+# - Constant call keys: a fixed first argument (no clause variable or cell
+#   in it) is looked up in the index as it is, without `_ground`.
+# - Index-matched heads: the plain map of an index drops the first-argument
+#   instruction of the exact matches whose argument is plain (every leaf a
+#   str or an int).  Plain keys read it, as for plain terms `==` is
+#   `_unify`; others (a float or a bool against an int) read the full map.
+#   At run time only an atom or an int is taken as plain.
+# - Direct switch keys: an msw whose switch name is f(fixed terms and clause
+#   variables) and whose instance is fixed reads its key from the frame
+#   entries it names; an msw value that is a clause variable is bound
+#   without being built.
+# - Ground constants: the compiled code keeps the ids of the compound
+#   subterms of its fixed arguments (and so keeps them alive), and a run
+#   those of its goal's, so the search knows them ground without a walk.
 
 _CALL, _MSW, _CONJ, _DISJ, _TRUE, _VAR, _INVALID = range(7)
 _TRUE_NODE = (_TRUE,)
 
-# How a call node reads one argument: a term without clause variables or
-# cells, a clause variable (its frame index), or a term to instantiate.
+# How a call node reads one argument, and how an msw node reads its value: a
+# term without clause variables or cells, a clause variable (its frame
+# index), or a term to instantiate.
 _ARG_CONST, _ARG_SLOT, _ARG_BUILD = range(3)
 
+# Head instructions; ops from _H_ATOM on read a ground argument.
+_H_FIRST, _H_NEXT, _H_MATCH, _H_FRESH, _H_ATOM, _H_FIXED = range(6)
 
-def _fixed(t):
-    """True when `t` holds neither clause variables nor engine cells."""
+# `_fixed` of a plain term: for two of them `==` is `_unify`.
+_PLAIN = 2
+
+
+def _fixed(t, ground_ids=None):
+    """0 when `t` holds a clause variable or an engine cell; else _PLAIN when
+    every leaf is a str or an int, and 1 otherwise.  The ids of a fixed
+    term's compound subterms go into `ground_ids`, when given."""
+    ids = []
+    fixed = _PLAIN
     stack = [t]
     while stack:
         t = stack.pop()
         tt = type(t)
         if tt is tuple:
+            ids.append(id(t))
             stack.extend(t[1:])
         elif tt is Slot or tt is Cell:
-            return False
-    return True
+            return 0
+        elif tt is not str and tt is not int:
+            fixed = 1
+    if ids and ground_ids is not None:
+        ground_ids.update(ids)
+    return fixed
 
 
-def _compile_goal(t, entries):
+def _compile_goal(t, entries, ground_ids=None):
     """Goal node for a body-goal template or a runtime goal term."""
     tt = type(t)
     if tt is Slot or tt is Cell:
@@ -303,39 +369,50 @@ def _compile_goal(t, entries):
     if tt is str:
         if t == "true":
             return _TRUE_NODE
-        return (_CALL, entries.get((t, 0)), (t, 0), ())
+        return (_CALL, entries.get((t, 0)), (t, 0), (), None)
     if tt is not tuple:
         return (_INVALID, t)
     f = t[0]
     n = len(t) - 1
     if f == "msw" and n == 3:
         s, i, v = t[1], t[2], t[3]
-        skey = (s, i) if _fixed(s) and _fixed(i) else None
-        vatom = type(v) is not tuple and _fixed(v)
-        return (_MSW, s, i, v, skey, vatom)
-    if f == ",":
-        return (_CONJ, _compile_goal(t[1], entries), _compile_goal(t[2], entries))
-    if f == ";":
-        return (_DISJ, _compile_goal(t[1], entries), _compile_goal(t[2], entries))
+        skey = spos = None
+        if _fixed(i):
+            if _fixed(s):
+                skey = (s, i)
+            elif type(s) is tuple and all(type(a) is Slot or _fixed(a) for a in s):
+                spos = tuple((k, a.i) for k, a in enumerate(s) if type(a) is Slot)
+        atom = type(v) is not tuple and _fixed(v)
+        vmode = _ARG_SLOT if type(v) is Slot else _ARG_CONST if atom else _ARG_BUILD
+        return (_MSW, s, i, v, skey, vmode, spos)
+    if f == "," or f == ";":
+        sub = [_compile_goal(g, entries, ground_ids) for g in t[1:]]
+        return (_CONJ if f == "," else _DISJ, *sub)
     aspec = []
+    kmap = None  # the index map a fixed first argument reads (see above)
     for a in t[1:]:
         if type(a) is Slot:
             aspec.append((_ARG_SLOT, a.i))
-        elif _fixed(a):
+        elif fixed := _fixed(a, ground_ids):
             aspec.append((_ARG_CONST, a))
+            if len(aspec) == 1:
+                kmap = 0 if fixed == _PLAIN else 3
         else:
             aspec.append((_ARG_BUILD, a))
-    return (_CALL, entries.get((f, n)), (f, n), tuple(aspec))
+    return (_CALL, entries.get((f, n)), (f, n), tuple(aspec), kmap)
 
 
-def _compile_clause(c, entries):
-    """(head args, fixed flags, variable count, reversed body nodes, padding).
+def _compile_clause(c, entries, ground_ids):
+    """(code, the first head argument when it is ground or None, the code a
+    plain call key equal to that argument runs), where code is (head ops,
+    variable count, reversed body nodes, padding).
 
     The clause's variables become Slots numbered in order of first
     occurrence, head first.  The padding is set only for heads whose
     arguments are distinct variables: those are numbered 0..arity-1 in order,
     so the frame is the call's arguments followed by the padding."""
     slots = {}
+    hits = []  # the Slot of every variable occurrence, in template order
 
     def template(t):
         # Pre-order walk, so Slots are numbered left to right; a list holding
@@ -351,6 +428,7 @@ def _compile_clause(c, entries):
                 if t not in slots:
                     slots[t] = Slot(len(slots))
                 out.append(slots[t])
+                hits.append(slots[t])
             elif type(t) is list:
                 k = len(out) - len(t[0]) + 1
                 out[k:] = [(t[0][0], *out[k:])]
@@ -358,50 +436,67 @@ def _compile_clause(c, entries):
                 out.append(t)
         return out[0]
 
-    head = template(c.head)
-    hargs = head[1:] if type(head) is tuple else ()
+    hargs = []
+    ends = [0]  # hits[ends[k]:ends[k + 1]] are head argument k's occurrences
+    for a in c.head[1:] if type(c.head) is tuple else ():
+        hargs.append(template(a))
+        ends.append(len(hits))
+    ops = []
+    key = plain = twice = None
+    for k, a in enumerate(hargs):
+        if type(a) is Slot:
+            ops.append((k, _H_NEXT if a in hits[:ends[k]] else _H_FIRST, a.i))
+        elif fixed := _fixed(a, ground_ids):
+            ops.append((k, _H_FIXED if type(a) is tuple else _H_ATOM, a))
+            if k == 0:
+                key, plain = a, fixed == _PLAIN
+        else:
+            if twice is None:  # the head's repeated variables
+                twice = {s for s, n in Counter(hits).items() if n > 1}
+            fresh = twice.isdisjoint(hits[ends[k]:ends[k + 1]])
+            ops.append((k, _H_FRESH if fresh else _H_MATCH, a))
     body = [template(b) for b in c.body]
     nvars = len(slots)
     flat = all(type(a) is Slot and a.i == k for k, a in enumerate(hargs))
     pad = [None] * (nvars - len(hargs)) if flat else None
-    body = tuple(_compile_goal(b, entries) for b in reversed(body))
-    return (hargs, tuple(_fixed(a) for a in hargs), nvars, body, pad)
+    body = tuple(_compile_goal(b, entries, ground_ids) for b in reversed(body))
+    code = (tuple(ops), nvars, body, pad)
+    return code, key, (tuple(ops[1:]), nvars, body, pad) if plain else code
 
 
 def _compiled(prog: Program):
-    """Per-predicate [clauses, first-arg index] entries, cached on the program
-    until `Program.add_clause` clears them.
+    """(per-predicate [clauses, first-arg index] entries, ground constant
+    ids), cached on the program until `Program.add_clause` clears them.
 
     Call nodes hold their predicate's entry (None for an unknown predicate).
-    The index maps each ground first argument appearing in some clause head to
-    the clauses able to match it -- exact matches merged with clauses whose
-    first head argument is non-ground, in textual order -- plus a generic
-    fallback for arguments matching no ground head, and a flag saying whether
-    any ground key is compound.  Predicates with no ground first argument
-    anywhere get no index (lookups would be pure overhead).
+    The index is (plain map, generic, flag, map).  Both maps take each ground
+    first argument appearing in some clause head to the clauses able to match
+    it -- exact matches merged with clauses whose first head argument is
+    non-ground, in textual order -- the plain map with the exact matches'
+    plain first arguments dropped.  The generic fallback serves arguments
+    matching no ground head, and the flag says whether any ground key is
+    compound.  Predicates with no ground first argument anywhere get no index
+    (lookups would be pure overhead).
     """
-    entries = prog._engine_code
-    if entries is None:
+    code = prog._engine_code
+    if code is None:
+        ground_ids = set()
         entries = {key: [(), None] for key in prog.clauses}
         for key, clauses in prog.clauses.items():
-            code = tuple(_compile_clause(c, entries) for c in clauses)
+            keyed = [_compile_clause(c, entries, ground_ids) for c in clauses]
             index = None
-            if key[1] > 0 and len(code) > 1:
-                keyed = [(cc, cc[0][0] if cc[1][0] else None) for cc in code]
-                ground_keys = {k for _, k in keyed if k is not None}
+            if key[1] > 0 and len(keyed) > 1:
+                ground_keys = {k for _, k, _ in keyed if k is not None}
                 if ground_keys:
-                    generic = tuple(cc for cc, k in keyed if k is None)
-                    index = (
-                        {
-                            gk: tuple(cc for cc, k in keyed if k is None or k == gk)
-                            for gk in ground_keys
-                        },
-                        generic,
-                        any(type(gk) is tuple for gk in ground_keys),
-                    )
-            entries[key][:] = (code, index)
-        prog._engine_code = entries
-    return entries
+                    generic = tuple(cc for cc, k, _ in keyed if k is None)
+                    index = ({}, generic, any(type(gk) is tuple for gk in ground_keys), {})
+                    for gk in ground_keys:
+                        able = [c for c in keyed if c[1] is None or c[1] == gk]
+                        index[0][gk] = tuple(c[2] for c in able)
+                        index[3][gk] = tuple(c[0] for c in able)
+            entries[key][:] = (tuple(c[0] for c in keyed), index)
+        code = prog._engine_code = (entries, ground_ids)
+    return code
 
 
 # ---------------------------------------------------------------------------
@@ -428,7 +523,7 @@ def run_first(prog: Program, goal, assignment, picker,
     `steps_out`, a list, receives the step count at each switch instance's
     first consult and then the final step count (without `shuffle` only).
     """
-    entries = _compiled(prog)
+    entries, ground_ids = _compiled(prog)
     switch_info = prog.switch_info
     sigma = {}
     trace = []
@@ -439,7 +534,8 @@ def run_first(prog: Program, goal, assignment, picker,
     # for the other branch of a disjunction, or (_SWITCH_CP, key, value term,
     # outcomes, next index, rest) for a searched switch.
     cps = []
-    goals = (_compile_goal(goal, entries), None, None)
+    goal_ids = set()  # the ground ids of the goal's own fixed arguments
+    goals = (_compile_goal(goal, entries, goal_ids), None, None)
     steps = 0
 
     while True:
@@ -478,16 +574,23 @@ def run_first(prog: Program, goal, assignment, picker,
                     xs.append(_build_fill(a, frame))
             if index is not None:
                 x0 = xs[0]
-                if type(x0) is tuple and shuffle is None and not index[2]:
+                if node[4] is not None:  # a constant call key
+                    cl = index[node[4]].get(x0, index[1])
+                elif type(x0) is tuple and not index[2] and (
+                    shuffle is None or id(x0) in ground_ids or id(x0) in goal_ids
+                ):
                     # No ground head key is compound, so only the generic
                     # clauses can match; a head that the full list adds
                     # fails to unify, so the derivation is the same.  The
-                    # search keeps the full list, whose shuffle it draws.
+                    # search shuffles the full list for a non-ground
+                    # argument, so it takes this path only for a term it
+                    # knows to be ground, and asks `_ground` otherwise.
                     cl = index[1]
                 else:
                     k1 = _ground(x0)
                     if k1 is not None:
-                        cl = index[0].get(k1, index[1])
+                        tk = type(k1)
+                        cl = index[0 if tk is str or tk is int else 3].get(k1, index[1])
             if shuffle is not None and len(cl) > 1:
                 cl = list(cl)
                 shuffle(cl)
@@ -497,7 +600,16 @@ def run_first(prog: Program, goal, assignment, picker,
         elif kind == _MSW:
             skey = node[4]
             if skey is None:
-                s = _ground(node[1], frame)
+                if node[6] is None:
+                    s = _ground(node[1], frame)
+                else:
+                    s = list(node[1])
+                    for k, j in node[6]:
+                        x = frame[j]
+                        while type(x) is Cell:
+                            x = x.ref
+                        s[k] = _ground(x) if type(x) is tuple else x
+                    s = None if None in s else tuple(s)
                 if s is None:
                     raise EvalError("msw switch name is not ground")
                 inst = _ground(node[2], frame)
@@ -529,8 +641,22 @@ def run_first(prog: Program, goal, assignment, picker,
                         steps_out.append(steps)
                 trace.append((s, inst, v))
                 vt = node[3]
-                if node[5]:
+                vmode = node[5]
+                if vmode == _ARG_CONST:
                     if v == vt and type(v) is type(vt):
+                        goals = rest
+                        continue
+                elif vmode == _ARG_SLOT:
+                    x = frame[vt.i]
+                    if x is None:
+                        x = frame[vt.i] = Cell()
+                    while type(x) is Cell and x.ref is not None:
+                        x = x.ref
+                    if type(x) is Cell:
+                        x.ref = v
+                        trail.append(x)
+                        x = v
+                    if x is v or _unify(x, v, trail):
                         goals = rest
                         continue
                 elif _unify(vt if frame is None else _build_fill(vt, frame), v, trail):
@@ -573,34 +699,35 @@ def run_first(prog: Program, goal, assignment, picker,
         while True:
             n = len(cl)
             while ci < n:
-                hargs, fixed, nvars, body, pad = cl[ci]
+                ops, nvars, body, pad = cl[ci]
                 ci += 1
                 if pad is not None:
                     frame = xs + pad
                 else:
                     frame = [None] * nvars if nvars else None
                     ok = True
-                    for k in range(len(hargs)):
+                    for k, op, t in ops:
                         x = xs[k]
                         while type(x) is Cell and x.ref is not None:
                             x = x.ref
-                        t = hargs[k]
-                        tt = type(t)
-                        if tt is Slot:
-                            v = frame[t.i]
-                            if v is None:
-                                frame[t.i] = x
-                                continue
-                            if _unify(x, v, trail):
-                                continue
-                        elif tt is tuple:
-                            if _unify(t if fixed[k] else _build_fill(t, frame), x, trail):
-                                continue
-                        elif type(x) is Cell:
-                            x.ref = t
-                            trail.append(x)
+                        if op == _H_FIRST:
+                            frame[t] = x
                             continue
-                        elif x == t and type(x) is type(t):
+                        if op >= _H_ATOM:
+                            if type(x) is Cell:
+                                # a ground argument cannot hold the cell
+                                x.ref = t
+                                trail.append(x)
+                                continue
+                            if op == _H_ATOM:
+                                if x == t and type(x) is type(t):
+                                    continue
+                            elif _unify(t, x, trail):
+                                continue
+                        elif op == _H_NEXT:
+                            if _unify(x, frame[t], trail):
+                                continue
+                        elif _match(t, x, frame, trail, op == _H_FRESH):
                             continue
                         ok = False
                         break

@@ -21,8 +21,13 @@ from plpmcmc.evaluator import (
     sample_eval,
     sample_outcome,
 )
-from plpmcmc.lang import Clause, parse_goal, parse_program, term_to_str
-from plpmcmc.oracle import exact_conditional, holds_in_world, world_universe
+from plpmcmc.lang import Clause, PlpError, parse_goal, parse_program, term_to_str
+from plpmcmc.oracle import (
+    exact_conditional,
+    exact_conditional_worlds,
+    holds_in_world,
+    world_universe,
+)
 
 TWO_COINS = parse_program(
     """
@@ -320,6 +325,71 @@ def test_list_length_walk_of_2000_elements():
     assert exact_conditional(prog, "q", "true").p_conditional == 0.5
 
 
+def test_ground_list_walk_runs_no_occurs_check(monkeypatch):
+    # a head variable at its first occurrence takes the call's subterm, and a
+    # cell meets only ground or newly built head arguments, so the walk is
+    # linear: no occurs check runs at all
+    prog = parse_program(_len_program(3200))
+    calls = []
+    occurs = evaluator._occurs
+    monkeypatch.setattr(evaluator, "_occurs", lambda cell, t: calls.append(t) or occurs(cell, t))
+    res = sample_eval(prog, "q", {("x", 0): "t"}, rng=None)
+    assert res.success and res.trace == [("x", 0, "t")]
+    assert calls == []
+
+
+def test_search_down_a_ground_list_reads_no_compound_key(monkeypatch):
+    # the search knows the program's and the goal's fixed terms are ground,
+    # so walking a ground list never asks `_ground` about a compound
+    prog = parse_program(_len_program(3200))
+    items, n = "[]", "z"
+    for k in reversed(range(3200)):
+        items, n = (".", f"a{k}", items), ("s", n)
+    walks = []
+    ground = evaluator._ground
+    monkeypatch.setattr(
+        evaluator, "_ground",
+        lambda t, frame=None: walks.append(t) if type(t) is tuple else ground(t, frame),
+    )
+    assert initial_sample(prog, "q", random.Random(0)) == {("x", 0): "t"}
+    assert run_first(prog, ("len", items, n), {}, None, shuffle=random.Random(0).shuffle)[0]
+    assert walks == []
+
+
+OCCURS = parse_program(
+    """
+values(x, [t, f]).
+:- set_sw(x, [0.5, 0.5]).
+occ(X, f(X)).
+p(f(X, X)).
+a :- msw(x, t), occ(Y, Y).
+b :- msw(x, t), p(f(g(Z), Z)).
+c :- msw(x, t), occ(W, f(W)), p(f(W, V)).
+"""
+)
+
+
+@pytest.mark.parametrize("route", [exact_conditional, exact_conditional_worlds])
+def test_repeated_head_variables_keep_the_occurs_check(route):
+    assert route(OCCURS, "a", "true").p_query == 0.0
+    assert route(OCCURS, "b", "true").p_query == 0.0
+    assert route(OCCURS, "c", "true").p_query == 0.5
+
+
+def test_a_float_or_bool_key_does_not_match_an_int_head():
+    # 1.0 and True equal 1 and hash alike, so they reach the index entry of
+    # p(1, a); the head must still refuse them, as `_unify` does
+    prog = parse_program("p(1, a).\np(X, b).\np(2, c).\nr(K, V) :- p(K, V).\n")
+    for key in (1.0, True):
+        for goal in (("p", key, "a"), ("r", key, "a")):
+            assert run_first(prog, goal, {}, None) == (False, {}, [])
+            assert run_first(prog, goal, {}, None, shuffle=random.Random(0).shuffle)[0] is False
+        assert run_first(prog, ("p", key, "b"), {}, None)[0]
+        assert run_first(prog, ("r", key, "b"), {}, None)[0]
+    assert run_first(prog, ("p", 1, "a"), {}, None)[0]
+    assert run_first(prog, ("r", 1, "a"), {}, None)[0]
+
+
 def test_search_on_a_compound_argument_draws_as_before():
     # p/2 is indexed on atoms only, so a list argument can match only its
     # generic clauses; the search still shuffles the full clause list, so its
@@ -480,3 +550,120 @@ def test_added_clause_clears_the_tries():
     prog.add_clause(Clause("a", []))
     assert prog._engine_memo is None
     assert sample_eval(prog, "a", {("x", 0): "f"}, rng=None) == (True, {("x", 0): "f"}, [("x", 0, "f")])
+
+
+# -- the raw engine, pinned -------------------------------------------------
+#
+# One hash over `run_first`'s raw output, steps included, on the catalogue,
+# four 4x4 networks and a corpus of head shapes.  It was computed before the
+# resolution loop was specialised at compile time; any change to a
+# derivation, a trace or a step count changes it.
+
+HEAD_SHAPES = parse_program(
+    """
+values(c(_), [t, f]).
+values(k, [a, b]).
+:- set_sw(c(a), [0.5, 0.5]).
+:- set_sw(c(b), [0.4, 0.6]).
+:- set_sw(c(g(a)), [0.3, 0.7]).
+:- set_sw(c(g(b)), [0.6, 0.4]).
+:- set_sw(c(1), [0.2, 0.8]).
+:- set_sw(c([a, b]), [0.7, 0.3]).
+:- set_sw(k, [0.5, 0.5]).
+p(f(X, X)) :- msw(c(X), t).
+p(f(b, Y)) :- msw(c(Y), f).
+p(f(g(a), a)).
+occ(X, f(X)).
+q(a, 1).
+q(X, 2) :- msw(c(X), t).
+q(b, 3).
+q(g(a), 4) :- msw(c(g(a)), f).
+q(g(X), 5) :- msw(c(X), f).
+q(1, 6).
+q([a|T], 7) :- msw(c(a), t), len(T, _).
+q([], 8).
+sel(a, c(a)).
+sel(b, k).
+len([], z).
+len([_|T], s(N)) :- len(T, N).
+mem(X, [X|_]).
+mem(X, [_|T]) :- mem(X, T).
+app([], L, L).
+app([H|T], L, [H|R]) :- app(T, L, R).
+r1 :- p(f(Y, a)).
+r2 :- p(f(g(Z), Z)).
+r3 :- msw(k, V), p(f(V, W)), msw(c(W), t).
+r4 :- occ(Y, Y).
+r5 :- occ(A, f(A)), msw(c(a), t).
+r6 :- occ(Y, f(g(Y))).
+r7 :- occ(g(Y), f(Y)).
+r8 :- msw(k, S), msw(c(S), V), occ(V, W), q(S, N), msw(c(b), N, V).
+r9 :- msw(k, I), msw(c(a), I, V), msw(c(b), I, V).
+r10 :- msw(k, S), sel(S, W), msw(W, V), msw(c(b), V, t).
+r11 :- msw(c(U), t).
+r12 :- msw(k, K), q(K, N), msw(c(a), N, t).
+r13 :- q(g(a), N), msw(c(b), N, t).
+r14 :- msw(k, K), q(g(K), N), msw(c(K), N, f).
+r15 :- q([a, b], N), msw(c(1), N, t).
+r16 :- len([a, b, c], N), msw(k, V), mem(V, [b, V, a]), msw(c(V), N, t).
+r17 :- msw(k, V), mem(V, [a, b]), mem(g(V), [g(b), g(a)]), msw(c(g(V)), t).
+r18 :- app(X, Y, [a, b]), msw(k, V), len(X, s(N)), msw(c(V), N, t).
+r19 :- (msw(c(a), t) ; msw(c(b), t)), p(f(A, b)), msw(c(A), f).
+r20 :- msw(k, X), q(X, 2), q(X, N), msw(c(b), N, f).
+"""
+)
+
+HEAD_SHAPE_GOALS = [f"r{k}" for k in range(1, 21)] + [
+    ("q", 1, 6), ("q", 1.0, 6), ("q", True, 6), ("q", 1.0, 2), ("q", "a", 1),
+    ("q", ("g", "a"), 4), ("q", ("g", 1.0), 5), ("p", ("f", "b", "b")),
+    ("occ", "a", ("f", "a")), ("len", (".", "a", (".", "b", "[]")), ("s", ("s", "z"))),
+]
+
+
+def _pin_cases():
+    for case in small_benchmarks() + [gen_bn(4, 4, 3, seed=s) for s in (0, 1, 2, 4)]:
+        yield case.name, case.program, [case.query, case.evidence]
+    yield "head-shapes", HEAD_SHAPES, HEAD_SHAPE_GOALS
+
+
+def _pinned_runs():
+    """(success, assignment items, trace, steps_out) of every pinned run, or
+    the error and the steps it reached; searches without the steps."""
+    out = []
+    for name, prog, goals in _pin_cases():
+        for g, goal in enumerate(goals):
+            seen = {}
+            for trial in range(12):
+                rng = random.Random(f"{name}/{g}/{trial}")
+                base = {
+                    key: rng.choice(prog.switch_info(key[0]).outcomes)
+                    for key in seen
+                    if rng.random() < 0.5
+                }
+                steps = []
+                limit = 40 if trial == 11 else evaluator.DEFAULT_STEP_LIMIT
+                try:
+                    ok, sigma, trace = run_first(
+                        prog, goal, base,
+                        lambda key: rng.choice(prog.switch_info(key[0]).outcomes),
+                        limit, steps_out=steps,
+                    )
+                except PlpError as exc:
+                    out.append((type(exc).__name__, str(exc), steps))
+                    continue
+                seen.update(sigma)
+                out.append((ok, list(sigma.items()), trace, steps))
+            for seed in range(3):
+                rng = random.Random(f"{name}/{g}/search/{seed}")
+                try:
+                    ok, sigma, trace = run_first(prog, goal, {}, None, shuffle=rng.shuffle)
+                except PlpError as exc:
+                    out.append((type(exc).__name__, str(exc)))
+                    continue
+                out.append((ok, list(sigma.items()), trace))
+    return out
+
+
+def test_run_first_raw_output_is_pinned():
+    digest = hashlib.sha256(repr(_pinned_runs()).encode()).hexdigest()[:16]
+    assert digest == "162e47f4a11dfefd"

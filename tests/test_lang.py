@@ -233,8 +233,8 @@ def test_clause_compilation_slots():
     (c,) = prog.clauses[("p", 2)]
     assert repr(c) == "p(X,Y) :- q(X), r(Y,X)."
     # the evaluator numbers clause variables in order of first occurrence
-    hargs, _fixed, nvars, _body, pad = _compile_clause(c, {})
-    assert nvars == 2 and [a.i for a in hargs] == [0, 1] and pad == []
+    (ops, nvars, _body, pad), key, _ = _compile_clause(c, {}, set())
+    assert nvars == 2 and [op[2] for op in ops] == [0, 1] and pad == [] and key is None
 
 
 @st.composite
