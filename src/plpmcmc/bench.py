@@ -25,7 +25,10 @@ class BenchCase:
     query_text: str
     evidence_text: str
     seed: int | None = None
+    # parsed on first read and kept: goal terms are immutable
     _program: Program | None = field(default=None, repr=False, compare=False)
+    _query: object = field(default=None, repr=False, compare=False)
+    _evidence: object = field(default=None, repr=False, compare=False)
 
     @property
     def program(self) -> Program:
@@ -35,11 +38,15 @@ class BenchCase:
 
     @property
     def query(self):
-        return parse_goal(self.query_text)
+        if self._query is None:
+            self._query = parse_goal(self.query_text)
+        return self._query
 
     @property
     def evidence(self):
-        return parse_goal(self.evidence_text)
+        if self._evidence is None:
+            self._evidence = parse_goal(self.evidence_text)
+        return self._evidence
 
     @property
     def n_switches(self) -> int:

@@ -32,11 +32,13 @@ keeps, per program and goal, a trie of the consult paths it has run (see
 "Evaluation tries" below).  A call whose path is in the trie walks it, taking
 each value from the assignment or drawing it exactly as the engine would,
 and returns the stored outcome without resolving anything; only a new path
-runs `run_first`.  The trie depends neither on the assignment nor on any
+runs `run_first`, resumed from the checkpoint its nodes keep where the path
+leaves the trie.  The trie depends neither on the assignment nor on any
 probabilities, so plain and adaptive chains and the independent sampler all
 share it; it is cached beside the compiled clause tables, cleared with them
 by `Program.add_clause`, and cleared when it reaches `MEMO_NODE_CAP` nodes.
-The tree oracle calls `run_first` directly and never reads it.
+The tree oracle calls `run_first` directly, from the goal, and never reads
+it.
 
 Assignments: an assignment is a plain dict `{(switch, instance): outcome}`
 whose keys and values are ground terms.  It stands for the set of possible
@@ -47,7 +49,7 @@ fixed seed.
 
 from __future__ import annotations
 
-from collections import Counter
+from collections import Counter, deque
 from typing import NamedTuple
 
 from .lang import Program, PlpError, Var, is_ground, term_to_str
@@ -466,7 +468,10 @@ def _compile_clause(c, entries, ground_ids):
 
 def _compiled(prog: Program):
     """(per-predicate [clauses, first-arg index] entries, ground constant
-    ids), cached on the program until `Program.add_clause` clears them.
+    ids, compiled goals), cached on the program until `Program.add_clause`
+    clears them.  The compiled goals map a goal to (that goal object, its
+    node, its ground ids); an equal goal of another object, such as 1.0 for
+    1, is compiled again.
 
     Call nodes hold their predicate's entry (None for an unknown predicate).
     The index is (plain map, generic, flag, map).  Both maps take each ground
@@ -495,7 +500,7 @@ def _compiled(prog: Program):
                         index[0][gk] = tuple(c[2] for c in able)
                         index[3][gk] = tuple(c[0] for c in able)
             entries[key][:] = (tuple(c[0] for c in keyed), index)
-        code = prog._engine_code = (entries, ground_ids)
+        code = prog._engine_code = (entries, ground_ids, {})
     return code
 
 
@@ -507,8 +512,38 @@ def _compiled(prog: Program):
 _SWITCH_CP = "msw"
 
 
+def _detach(opened, trail, mark, run):
+    """Before backtracking unbinds `trail` above `mark`, give the open
+    checkpoints and trail records that read it there a record of those
+    bindings, based on the first `mark` of the run's own record `run`."""
+    cells = trail[mark:opened[-1][2]]
+    part = [cells, [c.ref for c in cells], mark, run]
+    while opened and opened[-1][2] > mark:
+        opened.pop()[-1] = part
+    opened.append(part)
+
+
+def _restore(record, n):
+    """Bind the first `n` bindings of a trail record again; their cells, in
+    trail order.  A record is [cells, values, base length, base]: the first
+    base length bindings of the base record, then its own."""
+    parts = []
+    while record is not None:
+        cells, values, start, record = record
+        if n > start:
+            parts.append((cells[:n - start], values))
+            n = start
+    trail = []
+    for cells, values in reversed(parts):
+        for c, v in zip(cells, values):
+            c.ref = v
+        trail += cells
+    return trail
+
+
 def run_first(prog: Program, goal, assignment, picker,
-              step_limit=DEFAULT_STEP_LIMIT, shuffle=None, steps_out=None):
+              step_limit=DEFAULT_STEP_LIMIT, shuffle=None, steps_out=None,
+              checkpoints=None, resume=None):
     """Evaluate `goal` depth-first, left to right, to its first derivation; the
     raw engine behind both entry points.
 
@@ -522,260 +557,288 @@ def run_first(prog: Program, goal, assignment, picker,
 
     `steps_out`, a list, receives the step count at each switch instance's
     first consult and then the final step count (without `shuffle` only).
+    `checkpoints`, a list, receives a checkpoint [goals, choicepoints, trail
+    length, trace length, trail record] at each first consult.  A run given
+    `resume`, (sigma, trace, steps, goals, choicepoints, trail length, trail
+    record), restarts at such a consult, with the sigma, trace and step
+    count the run had there; it must take `checkpoints` too, and its
+    `steps_out` must hold the steps of the consults before it (see
+    "Evaluation tries" below).
     """
-    entries, ground_ids = _compiled(prog)
+    entries, ground_ids, goal_code = _compiled(prog)
     switch_info = prog.switch_info
-    sigma = {}
-    trace = []
-    trail = []
+    code = goal_code.get(goal)
+    if code is None or code[0] is not goal:
+        goal_ids = set()  # the ground ids of the goal's own fixed arguments
+        code = goal_code[goal] = (goal, _compile_goal(goal, entries, goal_ids), goal_ids)
+    goal_ids = code[2]
     atrail = []  # switch keys the search bound, in binding order
-    # Choicepoints end with the trail and atrail marks to undo to, and begin
-    # with (clauses, next index, call args, rest) for a call, (None, goals)
-    # for the other branch of a disjunction, or (_SWITCH_CP, key, value term,
-    # outcomes, next index, rest) for a searched switch.
-    cps = []
-    goal_ids = set()  # the ground ids of the goal's own fixed arguments
-    goals = (_compile_goal(goal, entries, goal_ids), None, None)
-    steps = 0
+    # Choicepoints form a linked stack (top, rest of the stack).  Each ends
+    # with the trail and atrail marks to undo to, and begins with (clauses,
+    # next index, call args, rest) for a call, (None, goals) for the other
+    # branch of a disjunction, or (_SWITCH_CP, key, value term, outcomes,
+    # next index, rest) for a searched switch.
+    if resume is None:
+        sigma, trace, trail, cps, steps = {}, [], [], None, 0
+        goals = (code[1], None, None)
+    else:
+        sigma, trace, steps, goals, cps, mark, record = resume
+        trail = _restore(record, mark)
+    run = [trail, None, 0, None]  # its bindings are sealed when the run ends
+    opened = []  # the checkpoints and records that read `trail`, by length
 
-    while True:
-        if goals is None:
-            if steps_out is not None:
-                steps_out.append(steps)
-            return True, sigma, trace
-        node, frame, rest = goals
-        steps += 1
-        if steps > step_limit:
-            what = "evaluation" if shuffle is None else "initial-sample search"
-            raise StepLimitExceeded(f"{what} exceeded {step_limit} steps")
-        kind = node[0]
-        if kind == _CALL:
-            entry = node[1]
-            if entry is None:
-                key = node[2]
-                raise EvalError(f"unknown predicate {key[0]}/{key[1]}")
-            cl, index = entry
-            xs = []
-            for mode, a in node[3]:
-                if mode == _ARG_SLOT:
-                    x = frame[a]
-                    if x is None:
-                        x = frame[a] = Cell()
-                    else:
-                        while type(x) is Cell:
-                            r = x.ref
-                            if r is None:
-                                break
-                            x = r
-                    xs.append(x)
-                elif mode == _ARG_CONST:
-                    xs.append(a)
-                else:
-                    xs.append(_build_fill(a, frame))
-            if index is not None:
-                x0 = xs[0]
-                if node[4] is not None:  # a constant call key
-                    cl = index[node[4]].get(x0, index[1])
-                elif type(x0) is tuple and not index[2] and (
-                    shuffle is None or id(x0) in ground_ids or id(x0) in goal_ids
-                ):
-                    # No ground head key is compound, so only the generic
-                    # clauses can match; a head that the full list adds
-                    # fails to unify, so the derivation is the same.  The
-                    # search shuffles the full list for a non-ground
-                    # argument, so it takes this path only for a term it
-                    # knows to be ground, and asks `_ground` otherwise.
-                    cl = index[1]
-                else:
-                    k1 = _ground(x0)
-                    if k1 is not None:
-                        tk = type(k1)
-                        cl = index[0 if tk is str or tk is int else 3].get(k1, index[1])
-            if shuffle is not None and len(cl) > 1:
-                cl = list(cl)
-                shuffle(cl)
-            ci = 0
-            tl = len(trail)
-            am = len(atrail)
-        elif kind == _MSW:
-            skey = node[4]
-            if skey is None:
-                if node[6] is None:
-                    s = _ground(node[1], frame)
-                else:
-                    s = list(node[1])
-                    for k, j in node[6]:
-                        x = frame[j]
-                        while type(x) is Cell:
-                            x = x.ref
-                        s[k] = _ground(x) if type(x) is tuple else x
-                    s = None if None in s else tuple(s)
-                if s is None:
-                    raise EvalError("msw switch name is not ground")
-                inst = _ground(node[2], frame)
-                if inst is None:
-                    raise EvalError("msw instance is not ground")
-                skey = (s, inst)
-            else:
-                s = node[1]
-                inst = node[2]
-            v = sigma.get(skey)
-            if v is None and shuffle is not None:
-                # Branch over the outcomes: push them and fail into the
-                # choicepoint.
-                info = switch_info(s)
-                outs = [o for o, p in zip(info.outcomes, info.probs) if p > 0.0]
-                if len(outs) > 1:
-                    shuffle(outs)
-                vt = node[3] if frame is None else _build_fill(node[3], frame)
-                cps.append((_SWITCH_CP, skey, vt, outs, 0, rest, len(trail), len(atrail)))
-                cl = ()
-                ci = 0
-            else:
-                if v is None:
-                    v = assignment.get(skey)
-                    if v is None:
-                        v = picker(skey)
-                    sigma[skey] = v
-                    if steps_out is not None:
-                        steps_out.append(steps)
-                trace.append((s, inst, v))
-                vt = node[3]
-                vmode = node[5]
-                if vmode == _ARG_CONST:
-                    if v == vt and type(v) is type(vt):
-                        goals = rest
-                        continue
-                elif vmode == _ARG_SLOT:
-                    x = frame[vt.i]
-                    if x is None:
-                        x = frame[vt.i] = Cell()
-                    while type(x) is Cell and x.ref is not None:
-                        x = x.ref
-                    if type(x) is Cell:
-                        x.ref = v
-                        trail.append(x)
-                        x = v
-                    if x is v or _unify(x, v, trail):
-                        goals = rest
-                        continue
-                elif _unify(vt if frame is None else _build_fill(vt, frame), v, trail):
-                    goals = rest
-                    continue
-                cl = ()
-                ci = 0
-        elif kind == _CONJ:
-            goals = (node[1], frame, (node[2], frame, rest))
-            continue
-        elif kind == _DISJ:
-            first, second = node[1], node[2]
-            if shuffle is not None:
-                order = [first, second]
-                shuffle(order)
-                first, second = order
-            cps.append((None, (second, frame, rest), len(trail), len(atrail)))
-            goals = (first, frame, rest)
-            continue
-        elif kind == _TRUE:
-            goals = rest
-            continue
-        elif kind == _VAR:
-            # A goal held in a variable: select the term it is bound to, in
-            # the same resolution step.
-            g = node[1]
-            if type(g) is Slot:
-                g = frame[g.i]
-            g = _deref(g)
-            if g is None or type(g) is Cell:
-                raise EvalError("unbound goal")
-            goals = (_compile_goal(g, entries), None, rest)
-            steps -= 1
-            continue
-        else:
-            raise EvalError(f"invalid goal: {node[1]!r}")
-
-        # Try the clauses cl[ci:] against the call arguments xs; when they run
-        # out, resume the most recent choicepoint.
+    try:
         while True:
-            n = len(cl)
-            while ci < n:
-                ops, nvars, body, pad = cl[ci]
-                ci += 1
-                if pad is not None:
-                    frame = xs + pad
+            if goals is None:
+                if steps_out is not None:
+                    steps_out.append(steps)
+                return True, sigma, trace
+            node, frame, rest = goals
+            steps += 1
+            if steps > step_limit:
+                what = "evaluation" if shuffle is None else "initial-sample search"
+                raise StepLimitExceeded(f"{what} exceeded {step_limit} steps")
+            kind = node[0]
+            if kind == _CALL:
+                entry = node[1]
+                if entry is None:
+                    key = node[2]
+                    raise EvalError(f"unknown predicate {key[0]}/{key[1]}")
+                cl, index = entry
+                xs = []
+                for mode, a in node[3]:
+                    if mode == _ARG_SLOT:
+                        x = frame[a]
+                        if x is None:
+                            x = frame[a] = Cell()
+                        else:
+                            while type(x) is Cell:
+                                r = x.ref
+                                if r is None:
+                                    break
+                                x = r
+                        xs.append(x)
+                    elif mode == _ARG_CONST:
+                        xs.append(a)
+                    else:
+                        xs.append(_build_fill(a, frame))
+                if index is not None:
+                    x0 = xs[0]
+                    if node[4] is not None:  # a constant call key
+                        cl = index[node[4]].get(x0, index[1])
+                    elif type(x0) is tuple and not index[2] and (
+                        shuffle is None or id(x0) in ground_ids or id(x0) in goal_ids
+                    ):
+                        # No ground head key is compound, so only the generic
+                        # clauses can match; a head that the full list adds
+                        # fails to unify, so the derivation is the same.  The
+                        # search shuffles the full list for a non-ground
+                        # argument, so it takes this path only for a term it
+                        # knows to be ground, and asks `_ground` otherwise.
+                        cl = index[1]
+                    else:
+                        k1 = _ground(x0)
+                        if k1 is not None:
+                            tk = type(k1)
+                            cl = index[0 if tk is str or tk is int else 3].get(k1, index[1])
+                if shuffle is not None and len(cl) > 1:
+                    cl = list(cl)
+                    shuffle(cl)
+                ci = 0
+                tl = len(trail)
+                am = len(atrail)
+            elif kind == _MSW:
+                skey = node[4]
+                if skey is None:
+                    if node[6] is None:
+                        s = _ground(node[1], frame)
+                    else:
+                        s = list(node[1])
+                        for k, j in node[6]:
+                            x = frame[j]
+                            while type(x) is Cell:
+                                x = x.ref
+                            s[k] = _ground(x) if type(x) is tuple else x
+                        s = None if None in s else tuple(s)
+                    if s is None:
+                        raise EvalError("msw switch name is not ground")
+                    inst = _ground(node[2], frame)
+                    if inst is None:
+                        raise EvalError("msw instance is not ground")
+                    skey = (s, inst)
                 else:
-                    frame = [None] * nvars if nvars else None
-                    ok = True
-                    for k, op, t in ops:
-                        x = xs[k]
-                        while type(x) is Cell and x.ref is not None:
-                            x = x.ref
-                        if op == _H_FIRST:
-                            frame[t] = x
-                            continue
-                        if op >= _H_ATOM:
-                            if type(x) is Cell:
-                                # a ground argument cannot hold the cell
-                                x.ref = t
-                                trail.append(x)
-                                continue
-                            if op == _H_ATOM:
-                                if x == t and type(x) is type(t):
-                                    continue
-                            elif _unify(t, x, trail):
-                                continue
-                        elif op == _H_NEXT:
-                            if _unify(x, frame[t], trail):
-                                continue
-                        elif _match(t, x, frame, trail, op == _H_FRESH):
-                            continue
-                        ok = False
-                        break
-                    if not ok:
-                        _undo(trail, tl)
-                        continue
-                if ci < n:
-                    cps.append((cl, ci, xs, rest, tl, am))
-                goals = rest
-                for b in body:
-                    goals = (b, frame, goals)
-                break
-            else:
-                if not cps:
-                    if steps_out is not None:
-                        steps_out.append(steps)
-                    return False, sigma, trace
-                cp = cps.pop()
-                _undo(trail, cp[-2])
-                am = cp[-1]
-                while len(atrail) > am:
-                    del sigma[atrail.pop()]
-                head = cp[0]
-                if head is None:
-                    goals = cp[1]
-                    break
-                if head is not _SWITCH_CP:
-                    cl, ci, xs, rest, tl, am = cp
-                    continue
-                _, skey, vt, outs, oi, rest, tl, am = cp
-                n = len(outs)
-                while oi < n:
-                    v = outs[oi]
-                    oi += 1
-                    if _unify(vt, v, trail):
-                        break
-                    _undo(trail, tl)
-                else:
+                    s = node[1]
+                    inst = node[2]
+                v = sigma.get(skey)
+                if v is None and shuffle is not None:
+                    # Branch over the outcomes: push them and fail into the
+                    # choicepoint.
+                    info = switch_info(s)
+                    outs = [o for o, p in zip(info.outcomes, info.probs) if p > 0.0]
+                    if len(outs) > 1:
+                        shuffle(outs)
+                    vt = node[3] if frame is None else _build_fill(node[3], frame)
+                    cps = ((_SWITCH_CP, skey, vt, outs, 0, rest, len(trail), len(atrail)), cps)
                     cl = ()
                     ci = 0
-                    continue
-                if oi < n:
-                    cps.append((_SWITCH_CP, skey, vt, outs, oi, rest, tl, am))
-                sigma[skey] = v
-                atrail.append(skey)
+                else:
+                    if v is None:
+                        if checkpoints is not None:
+                            ck = [goals, cps, len(trail), len(trace), run]
+                            checkpoints.append(ck)
+                            opened.append(ck)
+                        v = assignment.get(skey)
+                        if v is None:
+                            v = picker(skey)
+                        sigma[skey] = v
+                        if steps_out is not None:
+                            steps_out.append(steps)
+                    trace.append((s, inst, v))
+                    vt = node[3]
+                    vmode = node[5]
+                    if vmode == _ARG_CONST:
+                        if v == vt and type(v) is type(vt):
+                            goals = rest
+                            continue
+                    elif vmode == _ARG_SLOT:
+                        x = frame[vt.i]
+                        if x is None:
+                            x = frame[vt.i] = Cell()
+                        while type(x) is Cell and x.ref is not None:
+                            x = x.ref
+                        if type(x) is Cell:
+                            x.ref = v
+                            trail.append(x)
+                            x = v
+                        if x is v or _unify(x, v, trail):
+                            goals = rest
+                            continue
+                    elif _unify(vt if frame is None else _build_fill(vt, frame), v, trail):
+                        goals = rest
+                        continue
+                    cl = ()
+                    ci = 0
+            elif kind == _CONJ:
+                goals = (node[1], frame, (node[2], frame, rest))
+                continue
+            elif kind == _DISJ:
+                first, second = node[1], node[2]
+                if shuffle is not None:
+                    order = [first, second]
+                    shuffle(order)
+                    first, second = order
+                cps = ((None, (second, frame, rest), len(trail), len(atrail)), cps)
+                goals = (first, frame, rest)
+                continue
+            elif kind == _TRUE:
                 goals = rest
+                continue
+            elif kind == _VAR:
+                # A goal held in a variable: select the term it is bound to, in
+                # the same resolution step.
+                g = node[1]
+                if type(g) is Slot:
+                    g = frame[g.i]
+                g = _deref(g)
+                if g is None or type(g) is Cell:
+                    raise EvalError("unbound goal")
+                goals = (_compile_goal(g, entries), None, rest)
+                steps -= 1
+                continue
+            else:
+                raise EvalError(f"invalid goal: {node[1]!r}")
+
+            # Try the clauses cl[ci:] against the call arguments xs; when they run
+            # out, resume the most recent choicepoint.
+            while True:
+                n = len(cl)
+                while ci < n:
+                    ops, nvars, body, pad = cl[ci]
+                    ci += 1
+                    if pad is not None:
+                        frame = xs + pad
+                    else:
+                        frame = [None] * nvars if nvars else None
+                        ok = True
+                        for k, op, t in ops:
+                            x = xs[k]
+                            while type(x) is Cell and x.ref is not None:
+                                x = x.ref
+                            if op == _H_FIRST:
+                                frame[t] = x
+                                continue
+                            if op >= _H_ATOM:
+                                if type(x) is Cell:
+                                    # a ground argument cannot hold the cell
+                                    x.ref = t
+                                    trail.append(x)
+                                    continue
+                                if op == _H_ATOM:
+                                    if x == t and type(x) is type(t):
+                                        continue
+                                elif _unify(t, x, trail):
+                                    continue
+                            elif op == _H_NEXT:
+                                if _unify(x, frame[t], trail):
+                                    continue
+                            elif _match(t, x, frame, trail, op == _H_FRESH):
+                                continue
+                            ok = False
+                            break
+                        if not ok:
+                            _undo(trail, tl)
+                            continue
+                    if ci < n:
+                        cps = ((cl, ci, xs, rest, tl, am), cps)
+                    goals = rest
+                    for b in body:
+                        goals = (b, frame, goals)
+                    break
+                else:
+                    if cps is None:
+                        if steps_out is not None:
+                            steps_out.append(steps)
+                        return False, sigma, trace
+                    cp, cps = cps
+                    tl = cp[-2]
+                    if opened and opened[-1][2] > tl:
+                        _detach(opened, trail, tl, run)
+                    _undo(trail, tl)
+                    am = cp[-1]
+                    while len(atrail) > am:
+                        del sigma[atrail.pop()]
+                    head = cp[0]
+                    if head is None:
+                        goals = cp[1]
+                        break
+                    if head is not _SWITCH_CP:
+                        cl, ci, xs, rest, tl, am = cp
+                        continue
+                    _, skey, vt, outs, oi, rest, tl, am = cp
+                    n = len(outs)
+                    while oi < n:
+                        v = outs[oi]
+                        oi += 1
+                        if _unify(vt, v, trail):
+                            break
+                        _undo(trail, tl)
+                    else:
+                        cl = ()
+                        ci = 0
+                        continue
+                    if oi < n:
+                        cps = ((_SWITCH_CP, skey, vt, outs, oi, rest, tl, am), cps)
+                    sigma[skey] = v
+                    atrail.append(skey)
+                    goals = rest
+                    break
                 break
-            break
+    finally:
+        if checkpoints is not None:
+            run[0] = trail[:opened[-1][2]] if opened else []
+            run[1] = [c.ref for c in run[0]]
+            for c in trail:
+                c.ref = None
 
 
 # ---------------------------------------------------------------------------
@@ -784,42 +847,99 @@ def run_first(prog: Program, goal, assignment, picker,
 #
 # For a fixed goal, a `sample_eval` run is a function of the values its
 # switch instances take at their first consults.  Each goal's runs so far are
-# kept in a trie: an internal node is a list [key, steps, children] naming
-# the switch instance consulted first at that point and the step count there,
-# with children keyed by the value consulted; a leaf is a tuple (success,
-# trace as indices into the path of consulted keys, final step count).
+# kept in a trie: an internal node is a list [key, steps, children,
+# checkpoint...] naming the switch instance consulted first at that point and
+# the step count there, with children keyed by the value consulted; a leaf is
+# a tuple (success, trace as indices into the path of consulted keys, final
+# step count).
+#
+# Checkpoints (Schulte's recomputation from a copy, Schulte 1999).  At each
+# first consult `run_first` records the engine state there: the goal list
+# (persistent (node, frame, rest) triples), the choicepoints (a persistent
+# linked stack), the trail length, the trace length and the run's trail
+# record; the node the consult creates keeps it, flattened into node[3:8]
+# (node[3] is None for a node without one).  A miss walks its path again and
+# resumes from the deepest checkpoint on it: the path gives the sigma and
+# step counts of the consults before it, and any leaf below it the trace
+# there, as every run through a node has the same trace up to it.  What makes
+# a checkpoint sound:
+#
+# - Every binding is trailed, and cells are bound only while a run is live:
+#   each run that records or resumes checkpoints unbinds every cell it bound
+#   when it returns and when it raises.
+# - A frame entry that is filled after the frame was made holds a fresh cell
+#   (see "Compiled goals"), so an entry that was None at the checkpoint and
+#   now holds an unbound cell reads the same.
+# - A restore binds the checkpoint's trail prefix to its recorded values.
+#
+# So checkpoints stay cheap: a run's trail and its bindings are one record,
+# shared by all its checkpoints and sealed when the run ends (trimmed to its
+# last checkpoint).  Backtracking below a checkpoint's trail length first
+# gives it a record of just the bindings it undoes, based on the run's own
+# record (`_detach`); `_restore` reads a record back.
 
 # A program's tries are cleared before an insertion once they hold this many
-# nodes in all.
+# nodes in all.  Their checkpoints count against it too: a checkpoint counts
+# one node and the trail record it keeps one per 8 bindings, and once they
+# count more than a third of it, the oldest runs' checkpoints are dropped.
 MEMO_NODE_CAP = 20_000
 
 
 class _Memo:
-    """A program's trie roots by goal and their node count."""
+    """A program's tries by goal, each as (the goal object it was built for,
+    its root), their node count, and the count and the nodes of each run's
+    checkpoints, oldest first.  An equal goal of another object, such as 1.0
+    for 1, reads the trie only if it prints the same."""
 
-    __slots__ = ("roots", "nodes")
+    __slots__ = ("tries", "nodes", "held", "runs")
 
     def __init__(self):
-        self.roots = {}
+        self.tries = {}
         self.nodes = 0
+        self.held = 0
+        self.runs = deque()
+
+    @property
+    def roots(self):
+        """The trie roots by goal."""
+        return {goal: root for goal, (_, root) in self.tries.items()}
 
 
-def _insert(memo, goal, ok, sigma, trace, steps_out):
-    """Add the path of one finished run to the goal's trie."""
+def _insert(memo, goal, root, ok, sigma, trace, steps_out, checkpoints):
+    """Add the path of one finished run to the goal's trie, at `root`."""
     pos = {}
-    owner = memo.roots  # the dict that holds `node`, under the key `last`
-    last = goal
-    node = owner.get(goal)
+    owner = top = {None: root}  # the dict that holds `node`, under the key `last`
+    last = None
+    node = root
+    held = []  # the new nodes that keep a checkpoint
+    records = {}  # and the trail records those keep
     for j, (key, v) in enumerate(sigma.items()):
         pos[key] = j
         if node is None:
-            node = owner[last] = [key, steps_out[j], {}]
+            ck = checkpoints[j]
+            node = owner[last] = [key, steps_out[j], {}, *(ck or (None,))]
             memo.nodes += 1
+            if ck is not None:
+                held.append(node)
+                record = ck[4]
+                while record is not None and id(record) not in records:
+                    records[id(record)] = len(record[0])
+                    record = record[3]
         owner = node[2]
         last = v
         node = owner.get(v)
     owner[last] = (ok, tuple([pos[(t[0], t[1])] for t in trace]), steps_out[-1])
     memo.nodes += 1
+    memo.tries[goal] = (goal, top[None])
+    if held:
+        count = len(held) + sum(records.values()) // 8
+        memo.runs.append((count, held))
+        memo.held += count
+        while memo.held > MEMO_NODE_CAP // 3:
+            count, held = memo.runs.popleft()
+            for node in held:
+                node[3:] = (None,)
+            memo.held -= count
 
 
 def sample_outcome(outcomes, probs, rng):
@@ -867,13 +987,17 @@ def sample_eval(
     The goal's trie is walked first: each node's key takes its value from
     `assignment`, else is drawn, in the order and with the draws `run_first`
     would make, and the step limit is checked where `run_first` would raise.
-    A path the trie does not hold yet runs `run_first` on `assignment` merged
-    with the values drawn so far, and is then added; a run that raises is not.
+    A path the trie does not hold yet resumes `run_first` from the deepest
+    checkpoint on it, on `assignment` merged with the values drawn so far,
+    and is then added; a run that raises is not.
     """
     memo = prog._engine_memo
     if memo is None:
         memo = prog._engine_memo = _Memo()
-    node = memo.roots.get(goal)
+    node = memo.tries.get(goal)
+    if node is not None:
+        node = node[1] if node[0] is goal or repr(node[0]) == repr(goal) else None
+    root = node
     if node is None and not is_ground(goal):
         raise EvalError(f"goal must be ground: {term_to_str(goal)}")
 
@@ -895,19 +1019,38 @@ def sample_eval(
             raise _evaluation_over(step_limit)
         return EvalResult(node[0], sigma, [items[k] for k in node[1]])
 
+    steps_out = []
+    checkpoints = []
+    resume = None
     if sigma:
         merged = dict(assignment)
         merged.update(sigma)
         assignment = merged
-    steps_out = []
+        # Walk the path again, to resume from its deepest checkpoint.
+        node, path = root, []
+        for v in sigma.values():
+            path.append(node)
+            node = node[2].get(v)
+        while path and path[-1][3] is None:
+            path.pop()
+        if path:
+            node = leaf = path.pop()
+            while type(leaf) is list:  # its trace starts as every run's here
+                leaf = next(iter(leaf[2].values()))
+            steps_out = [n[1] for n in path]
+            checkpoints = [None] * len(path)
+            resume = (
+                {n[0]: sigma[n[0]] for n in path}, [items[k] for k in leaf[1][:node[6]]],
+                node[1] - 1, node[3], node[4], node[5], node[7],
+            )
     ok, sigma, trace = run_first(
         prog, goal, assignment, lambda key: _draw(prog, key, dist, rng),
-        step_limit, steps_out=steps_out,
+        step_limit, steps_out=steps_out, checkpoints=checkpoints, resume=resume,
     )
     if memo.nodes >= MEMO_NODE_CAP:
-        memo.roots.clear()
-        memo.nodes = 0
-    _insert(memo, goal, ok, sigma, trace, steps_out)
+        memo = prog._engine_memo = _Memo()
+        root = None
+    _insert(memo, goal, root, ok, sigma, trace, steps_out, checkpoints)
     return EvalResult(ok, sigma, trace)
 
 

@@ -74,6 +74,12 @@ def test_program_property_caches():
     assert case.program is case.program
 
 
+def test_goal_properties_parse_once():
+    case = fig1()
+    assert case.query is case.query and case.evidence is case.evidence
+    assert case.query == ("reach", "a", "d")
+
+
 def test_generators_are_deterministic_per_seed():
     for family, make in FAMILIES.items():
         a, b = make(3), make(3)

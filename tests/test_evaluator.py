@@ -1,8 +1,10 @@
 """First-derivation sampling evaluator: frozen picks, traces, exclusivity."""
 
 import functools
+import gc
 import hashlib
 import random
+import time
 
 import pytest
 from hypothesis import given, settings
@@ -390,6 +392,27 @@ def test_a_float_or_bool_key_does_not_match_an_int_head():
     assert run_first(prog, ("r", 1, "a"), {}, None)[0]
 
 
+def test_a_goal_is_compiled_once_per_program(monkeypatch):
+    prog = parse_program("p(1, a).\np(X, b).\np(2, c).\n")
+    compiled = []
+    compile_goal = evaluator._compile_goal
+    monkeypatch.setattr(
+        evaluator, "_compile_goal", lambda t, *a: compiled.append(t) or compile_goal(t, *a)
+    )
+    goal, other = ("p", 1, "a"), ("p", 1.0, "a")
+    for _ in range(3):
+        assert run_first(prog, goal, {}, None)[0]
+    assert compiled == [goal]
+    # an equal goal of another object is compiled for itself, and does not
+    # read the other's trie either
+    for g, ok in ((other, False), (goal, True), (other, False), (goal, True)):
+        assert run_first(prog, g, {}, None)[0] is ok
+        assert sample_eval(prog, g, {}).success is ok
+    prog.add_clause(Clause(("p", 3, "d"), []))
+    assert run_first(prog, goal, {}, None)[0]
+    assert compiled == [goal, other, goal, other, goal, goal]
+
+
 def test_search_on_a_compound_argument_draws_as_before():
     # p/2 is indexed on atoms only, so a list argument can match only its
     # generic clauses; the search still shuffles the full clause list, so its
@@ -471,22 +494,52 @@ def _memo_example(data):
             base[key] = data.draw(st.sampled_from(case.program.switch_info(key[0]).outcomes))
     dist = source if data.draw(st.booleans(), label="adapted") else None
     seed = data.draw(st.integers(0, 2**16), label="seed")
-    return case, fresh, goal, base, dist, seed
+    # a copy whose tries hold one run of each goal, so that most of its
+    # misses resume from a checkpoint
+    sparse = parse_program(case.text)
+    for g in (case.query, case.evidence):
+        sample_eval(sparse, g, {}, rng=random.Random(seed))
+    return (case.program, sparse), fresh, goal, base, dist, seed
 
 
-@settings(max_examples=300, deadline=None)
-@given(st.data())
-def test_warm_trie_matches_a_live_run(data):
-    case, fresh, goal, base, dist, seed = _memo_example(data)
-    rng_m, rng_l = random.Random(seed), random.Random(seed)
-    memo = _outcome(lambda: sample_eval(case.program, goal, dict(base), dist=dist, rng=rng_m))
-    live = _outcome(lambda: _live(fresh, goal, dict(base), dist, rng_l))
-    assert memo == live
-    assert rng_m.getstate() == rng_l.getstate()
-    # without an rng, the same result or the same fresh-switch error
-    assert _outcome(lambda: sample_eval(case.program, goal, dict(base))) == _outcome(
-        lambda: _live(fresh, goal, dict(base), None, None)
-    )
+def _count_resumes(monkeypatch):
+    """A list that gets an entry for each trie miss `sample_eval` resumes
+    from a checkpoint."""
+    resumed = []
+    run_first = evaluator.run_first
+
+    def counted(*args, resume=None, **kwargs):
+        if resume is not None:
+            resumed.append(len(resume[0]))
+        return run_first(*args, resume=resume, **kwargs)
+
+    monkeypatch.setattr(evaluator, "run_first", counted)
+    return resumed
+
+
+def test_warm_trie_matches_a_live_run(monkeypatch):
+    resumed = _count_resumes(monkeypatch)
+    examples = []
+
+    @settings(max_examples=300, deadline=None)
+    @given(st.data())
+    def check(data):
+        progs, fresh, goal, base, dist, seed = _memo_example(data)
+        before = len(resumed)
+        for prog in progs:
+            rng_m, rng_l = random.Random(seed), random.Random(seed)
+            memo = _outcome(lambda: sample_eval(prog, goal, dict(base), dist=dist, rng=rng_m))
+            live = _outcome(lambda: _live(fresh, goal, dict(base), dist, rng_l))
+            assert memo == live
+            assert rng_m.getstate() == rng_l.getstate()
+            # without an rng, the same result or the same fresh-switch error
+            assert _outcome(lambda: sample_eval(prog, goal, dict(base))) == _outcome(
+                lambda: _live(fresh, goal, dict(base), None, None)
+            )
+        examples.append(len(resumed) > before)
+
+    check()
+    assert sum(examples) >= len(examples) // 4
 
 
 def _smallest_limit(call):
@@ -511,26 +564,38 @@ def _smallest_limit(call):
     return hi
 
 
-@settings(max_examples=80, deadline=None)
-@given(st.data())
-def test_step_limit_is_met_where_a_live_run_meets_it(data):
-    case, fresh, goal, base, dist, seed = _memo_example(data)
+def test_step_limit_is_met_where_a_live_run_meets_it(monkeypatch):
+    resumed = _count_resumes(monkeypatch)
+    examples = []
 
-    def memo(limit, rng=None):
-        rng = random.Random(seed) if rng is None else rng
-        return sample_eval(case.program, goal, dict(base), dist=dist, rng=rng, step_limit=limit)
+    @settings(max_examples=80, deadline=None)
+    @given(st.data())
+    def check(data):
+        progs, fresh, goal, base, dist, seed = _memo_example(data)
+        before = len(resumed)
 
-    def live(limit, rng=None):
-        rng = random.Random(seed) if rng is None else rng
-        return _live(fresh, goal, dict(base), dist, rng, limit)
+        def memo(limit, rng=None, prog=progs[0]):
+            rng = random.Random(seed) if rng is None else rng
+            return sample_eval(prog, goal, dict(base), dist=dist, rng=rng, step_limit=limit)
 
-    memo(evaluator.DEFAULT_STEP_LIMIT)
-    limit = _smallest_limit(memo)
-    assert limit == _smallest_limit(live)
-    # one step less raises in both, after the same draws
-    rng_m, rng_l = random.Random(seed), random.Random(seed)
-    assert _outcome(lambda: memo(limit - 1, rng_m)) == _outcome(lambda: live(limit - 1, rng_l))
-    assert rng_m.getstate() == rng_l.getstate()
+        def live(limit, rng=None):
+            rng = random.Random(seed) if rng is None else rng
+            return _live(fresh, goal, dict(base), dist, rng, limit)
+
+        # a resumed run that a limit stops is not kept, so each probe of a
+        # new path resumes until one finishes; then the probes walk the trie
+        limit = _smallest_limit(live)
+        assert _smallest_limit(functools.partial(memo, prog=progs[1])) == limit
+        memo(evaluator.DEFAULT_STEP_LIMIT)
+        assert _smallest_limit(memo) == limit
+        # one step less raises in both, after the same draws
+        rng_m, rng_l = random.Random(seed), random.Random(seed)
+        assert _outcome(lambda: memo(limit - 1, rng_m)) == _outcome(lambda: live(limit - 1, rng_l))
+        assert rng_m.getstate() == rng_l.getstate()
+        examples.append(len(resumed) > before)
+
+    check()
+    assert sum(examples) >= len(examples) // 4
 
 
 def test_repeated_evaluation_walks_the_trie(monkeypatch):
@@ -559,8 +624,7 @@ def test_added_clause_clears_the_tries():
 # resolution loop was specialised at compile time; any change to a
 # derivation, a trace or a step count changes it.
 
-HEAD_SHAPES = parse_program(
-    """
+HEAD_SHAPES_TEXT = """
 values(c(_), [t, f]).
 values(k, [a, b]).
 :- set_sw(c(a), [0.5, 0.5]).
@@ -611,7 +675,7 @@ r18 :- app(X, Y, [a, b]), msw(k, V), len(X, s(N)), msw(c(V), N, t).
 r19 :- (msw(c(a), t) ; msw(c(b), t)), p(f(A, b)), msw(c(A), f).
 r20 :- msw(k, X), q(X, 2), q(X, N), msw(c(b), N, f).
 """
-)
+HEAD_SHAPES = parse_program(HEAD_SHAPES_TEXT)
 
 HEAD_SHAPE_GOALS = [f"r{k}" for k in range(1, 21)] + [
     ("q", 1, 6), ("q", 1.0, 6), ("q", True, 6), ("q", 1.0, 2), ("q", "a", 1),
@@ -667,3 +731,73 @@ def _pinned_runs():
 def test_run_first_raw_output_is_pinned():
     digest = hashlib.sha256(repr(_pinned_runs()).encode()).hexdigest()[:16]
     assert digest == "162e47f4a11dfefd"
+
+
+# -- resumed runs -------------------------------------------------------------
+#
+# A trie miss resumes `run_first` from the checkpoint at the deepest node of
+# its path.  Each case below checks one long-lived program, whose misses
+# resume, against the same calls on a program whose tries are dropped before
+# every call, so that every call runs from the goal.
+
+
+def _differential_cases():
+    for case in small_benchmarks() + [gen_bn(4, 4, 3, seed=s) for s in (0, 1, 2, 4)] + [fig1()]:
+        yield pytest.param(case.name, case.text, [case.query, case.evidence], id=case.name)
+    yield pytest.param("head-shapes", HEAD_SHAPES_TEXT, HEAD_SHAPE_GOALS, id="head-shapes")
+
+
+@pytest.mark.parametrize("name, text, goals", list(_differential_cases()))
+def test_a_resumed_run_matches_a_run_from_the_goal(monkeypatch, name, text, goals):
+    resumed = _count_resumes(monkeypatch)
+    warm, cold = parse_program(text), parse_program(text)
+    rng = random.Random(f"{name}/differential")
+    seen = {}
+    for n in range(1500):
+        goal = goals[n % len(goals)]
+        base = {
+            key: rng.choice(warm.switch_info(key[0]).outcomes)
+            for key in seen
+            if rng.random() < 0.5
+        }
+        limit = rng.randint(1, 150) if rng.random() < 0.25 else evaluator.DEFAULT_STEP_LIMIT
+        seed = rng.randrange(2**32)
+        rng_w, rng_c = random.Random(seed), random.Random(seed)
+        cold._engine_memo = None
+        out = _outcome(lambda: sample_eval(warm, goal, dict(base), rng=rng_w, step_limit=limit))
+        assert out == _outcome(
+            lambda: sample_eval(cold, goal, dict(base), rng=rng_c, step_limit=limit)
+        ), (n, goal)
+        assert rng_w.getstate() == rng_c.getstate()
+        if type(out[0]) is bool:
+            seen.update(out[1])
+    assert resumed
+
+
+def _walk_program(n):
+    items = ",".join(f"e{k}" for k in range(n))
+    return parse_program(
+        "values(x, [a, b]).\n:- set_sw(x, [0.5, 0.5]).\n"
+        "walk([]).\nwalk([H|T]) :- msw(x, H, V), c(V), walk(T).\n"
+        f"c(a).\nc(a).\nc(b).\nc(b).\ndata([{items}]).\nq :- data(L), walk(L).\n"
+    )
+
+
+def test_checkpoints_cost_no_more_as_the_choicepoint_stack_grows():
+    # every element is a first consult and leaves a choicepoint, so a
+    # checkpoint that copied the choicepoints would make the run quadratic;
+    # the sizes alternate and the collector is off, so that both sizes are
+    # timed under the same machine load
+    best = {1600: float("inf"), 3200: float("inf")}
+    for _ in range(9):
+        for n in best:
+            prog = _walk_program(n)
+            gc.disable()
+            try:
+                start = time.perf_counter()
+                res = sample_eval(prog, "q", {}, rng=random.Random(0))
+                best[n] = min(best[n], time.perf_counter() - start)
+            finally:
+                gc.enable()
+            assert res.success and len(res.trace) == n
+    assert best[3200] / best[1600] <= 2.3
