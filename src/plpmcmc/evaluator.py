@@ -899,11 +899,6 @@ class _Memo:
         self.held = 0
         self.runs = deque()
 
-    @property
-    def roots(self):
-        """The trie roots by goal."""
-        return {goal: root for goal, (_, root) in self.tries.items()}
-
 
 def _insert(memo, goal, root, ok, sigma, trace, steps_out, checkpoints):
     """Add the path of one finished run to the goal's trie, at `root`."""

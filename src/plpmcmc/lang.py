@@ -286,18 +286,6 @@ class Program:
         return f"<Program {n} clauses, {len(self.values_decls)} values, {len(self.dists)} switches>"
 
 
-def program_to_str(prog: Program) -> str:
-    lines = []
-    for pat, outs in prog.values_decls:
-        lines.append(f"values({term_to_str(pat)}, [{','.join(term_to_str(o) for o in outs)}]).")
-    for s, probs in prog.dists.items():
-        lines.append(f":- set_sw({term_to_str(s)}, [{','.join(repr(p) for p in probs)}]).")
-    for clauses in prog.clauses.values():
-        for c in clauses:
-            lines.append(repr(c))
-    return "\n".join(lines) + "\n"
-
-
 # ---------------------------------------------------------------------------
 # Tokenizer / parser
 # ---------------------------------------------------------------------------

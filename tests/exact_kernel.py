@@ -1,56 +1,53 @@
 """Exact transition system of the MH chain on desk-scale programs.
 
-Forget choices are enumerated outright, evaluation outcomes are enumerated
-with the oracle's leaf walker, and acceptance comes from the real
-`accept_prob`, so the resulting kernel is the chain's own, not a model of it.
-Its stationary law is solved for by Gaussian elimination.  The file name
-keeps pytest from collecting it; test modules import it as a helper.
+Evaluation outcomes are enumerated with the oracle's leaf walker and
+acceptance comes from the real `accept_prob`, so the resulting kernel is the
+chain's own, not a model of it.  A single-switch row takes one walk per key
+the step may drop.  A multi-switch row takes one walk from the empty
+assignment, in which a key of the state keeps its value with probability
+1 - p and draws a fresh one with probability p at its first consult, and
+every other key draws a fresh one.  That is the same law of next states as
+forgetting each key first: states are touched-only, so a key the walk never
+consults leaves no trace, and a key forgotten and redrawn to its old value
+gives the same next state, which is all `accept_prob` reads.  The stationary
+law is solved for by Gaussian elimination.  The file name keeps pytest from
+collecting it; test modules import it as a helper.
 """
 
 from plpmcmc.mcmc import SingleSwitch, accept_prob
 from plpmcmc.oracle import iter_eval_leaves
 
 
-def _dist_probs(prog, source, s, i):
-    info = prog.switch_info(s)
-    return info.probs if source is None else source(s, i, info)
-
-
-def leaf_weight(prog, source, base, leaf):
+def leaf_weight(prog, source, base, leaf, held=None, p=1.0):
     """Probability that an evaluation from `base` draws the fresh picks of
-    `leaf`, under the declared law (`source=None`) or an adapted one."""
+    `leaf`, under the declared law (`source=None`) or an adapted one.  A
+    fresh pick of a key that `held` maps to a value keeps that value with
+    probability 1 - p and is redrawn with probability p."""
     w = 1.0
     for (s, i), v in leaf.items():
         if (s, i) not in base:
             info = prog.switch_info(s)
-            w *= _dist_probs(prog, source, s, i)[info.index[v]]
+            probs = info.probs if source is None else source(s, i, info)
+            pv = probs[info.index[v]]
+            if held and (s, i) in held:
+                pv = (1.0 - p) * (v == held[s, i]) + p * pv
+            w *= pv
     return w
 
 
 def forget_choices(state, strategy):
-    """(proposal, probability) for every way the strategy can forget keys."""
-    if not state:
-        yield {}, 1.0
-        return
-    if type(strategy) is SingleSwitch:
+    """(base, probability, held, p) for each walk that the strategy's forget
+    step takes out of `state`: one per dropped key under single-switch, and
+    under multi-switch one from the empty base in which every key of `state`
+    is held and forgotten at its first consult with probability p."""
+    if state and type(strategy) is SingleSwitch:
         n = len(state)
         for k in state:
             out = dict(state)
             del out[k]
-            yield out, 1.0 / n
-        return
-    p = strategy.p
-    keys = list(state)
-    for mask in range(1 << len(keys)):
-        out = {}
-        w = 1.0
-        for j, k in enumerate(keys):
-            if (mask >> j) & 1:
-                w *= p
-            else:
-                out[k] = state[k]
-                w *= 1.0 - p
-        yield out, w
+            yield out, 1.0 / n, None, 1.0
+    else:
+        yield {}, 1.0, state, getattr(strategy, "p", 1.0)
 
 
 def transition_row(prog, query, evidence, state, strategy, source):
@@ -64,16 +61,16 @@ def transition_row(prog, query, evidence, state, strategy, source):
         if w:
             row[key] = row.get(key, 0.0) + w
 
-    for proposal, wf in forget_choices(state, strategy):
-        for eok, sig_e in iter_eval_leaves(prog, evidence, dict(proposal)):
-            we = leaf_weight(prog, source, proposal, sig_e)
+    for base, wf, held, p in forget_choices(state, strategy):
+        for eok, sig_e in iter_eval_leaves(prog, evidence, dict(base)):
+            we = leaf_weight(prog, source, base, sig_e, held, p)
             if not eok:
                 add(self_key, wf * we)  # deterministic rejection
                 continue
-            qbase = dict(proposal)
+            qbase = dict(base)
             qbase.update(sig_e)
             for qok, sig_q in iter_eval_leaves(prog, query, dict(qbase)):
-                wq = leaf_weight(prog, source, qbase, sig_q)
+                wq = leaf_weight(prog, source, qbase, sig_q, held, p)
                 nxt = dict(sig_e)
                 nxt.update(sig_q)
                 a = accept_prob(state, nxt, strategy, prog, adapted=source)
@@ -142,8 +139,8 @@ def evidence_rejection_rate(prog, evidence, pi, strategy, source=None):
     mass, under `pi`, of forget choices times failing evidence leaves."""
     total = 0.0
     for skey, p in pi.items():
-        for proposal, wf in forget_choices(dict(skey), strategy):
-            for eok, sig_e in iter_eval_leaves(prog, evidence, dict(proposal)):
+        for base, wf, held, pf in forget_choices(dict(skey), strategy):
+            for eok, sig_e in iter_eval_leaves(prog, evidence, dict(base)):
                 if not eok:
-                    total += p * wf * leaf_weight(prog, source, proposal, sig_e)
+                    total += p * wf * leaf_weight(prog, source, base, sig_e, held, pf)
     return total

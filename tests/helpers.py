@@ -1,10 +1,23 @@
 """Helpers that only the tests use: exclusivity of partial assignments, the
 benchmark generator families by seed, a Q-store record read through
-`QStore.items()`, and a Q-store that never learns.  The file name keeps
-pytest from collecting it; test modules import it as a helper."""
+`QStore.items()`, a Q-store that never learns, a program printer for
+round-trip tests and a program shared by the engine and oracle tests.  The
+file name keeps pytest from collecting it; test modules import it as a
+helper."""
 
 from plpmcmc.adapt import QStore
 from plpmcmc.bench import gen_bn, gen_chain, gen_grammar, gen_hamming, random_reach
+from plpmcmc.lang import Program, term_to_str
+
+# An msw whose value is a compound matched against a pattern that binds a
+# variable: P(q | e) = 0.3 / 0.8 = 0.375.
+MSW_VALUE_TEXT = """
+values(s, [f(a), f(b), g(a)]).
+:- set_sw(s, [0.5, 0.3, 0.2]).
+q :- msw(s, f(X)), r(X).
+r(b).
+e :- msw(s, f(_)).
+"""
 
 _MISSING = object()
 
@@ -46,3 +59,16 @@ class FrozenStore(QStore):
 
     def update(self, key, reward):
         pass
+
+
+def program_to_str(prog: Program) -> str:
+    """The program as source text, for parse-print round-trip tests."""
+    lines = []
+    for pat, outs in prog.values_decls:
+        lines.append(f"values({term_to_str(pat)}, [{','.join(term_to_str(o) for o in outs)}]).")
+    for s, probs in prog.dists.items():
+        lines.append(f":- set_sw({term_to_str(s)}, [{','.join(repr(p) for p in probs)}]).")
+    for clauses in prog.clauses.values():
+        for c in clauses:
+            lines.append(repr(c))
+    return "\n".join(lines) + "\n"

@@ -4,7 +4,7 @@ import random
 
 import pytest
 
-from helpers import FAMILIES
+from helpers import FAMILIES, program_to_str
 from plpmcmc.bench import (
     fig1,
     gen_bn,
@@ -17,7 +17,7 @@ from plpmcmc.bench import (
     small_benchmarks,
 )
 from plpmcmc.evaluator import sample_eval
-from plpmcmc.lang import parse_program, program_to_str
+from plpmcmc.lang import parse_program
 from plpmcmc.oracle import exact_conditional, exact_conditional_worlds
 
 

@@ -10,7 +10,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from helpers import mutually_exclusive
+from helpers import MSW_VALUE_TEXT, mutually_exclusive
 from plpmcmc import evaluator
 from plpmcmc.adapt import AdaptedSource, QStore
 from plpmcmc.bench import fig1, gen_bn, small_benchmarks
@@ -745,6 +745,7 @@ def _differential_cases():
     for case in small_benchmarks() + [gen_bn(4, 4, 3, seed=s) for s in (0, 1, 2, 4)] + [fig1()]:
         yield pytest.param(case.name, case.text, [case.query, case.evidence], id=case.name)
     yield pytest.param("head-shapes", HEAD_SHAPES_TEXT, HEAD_SHAPE_GOALS, id="head-shapes")
+    yield pytest.param("msw-value", MSW_VALUE_TEXT, ["q", "e"], id="msw-value")
 
 
 @pytest.mark.parametrize("name, text, goals", list(_differential_cases()))

@@ -3,6 +3,7 @@
 import pytest
 from hypothesis import given, strategies as st
 
+from helpers import program_to_str
 from plpmcmc.evaluator import _compile_clause
 from plpmcmc.lang import (
     Clause,
@@ -12,7 +13,6 @@ from plpmcmc.lang import (
     is_ground,
     parse_goal,
     parse_program,
-    program_to_str,
     term_to_list,
     term_to_str,
     unify,

@@ -1,12 +1,16 @@
 """Metropolis-Hastings kernel: proposals, acceptance probabilities, chains.
 
 The heavyweight check here builds the chain's *exact* transition matrix on
-two-switch programs and on fig1 — forget choices enumerated outright,
-evaluation outcomes enumerated with the oracle's leaf walker, acceptance taken
-from the real accept_prob (see exact_kernel.py) — solves for the stationary
-distribution, and compares it against the product measure the sampler is
-supposed to target.  That pins down the kernel to numerical precision instead
-of relying on statistical tolerance.
+two-switch programs, on fig1 and on every catalogue program — evaluation
+outcomes enumerated with the oracle's leaf walker, acceptance taken from the
+real accept_prob (see exact_kernel.py).  Multi-switch forgetting is decided
+at each key's first consult: a key of the state keeps its value with
+probability 1 - p, which gives the same next states as forgetting first,
+because states are touched-only and a key redrawn to its old value leaves
+the state as it was.  The test solves for the stationary distribution and
+compares it against the product measure the sampler is supposed to target.
+That pins down the kernel to numerical precision instead of relying on
+statistical tolerance.
 """
 
 import hashlib
@@ -245,6 +249,22 @@ STATIONARITY_CASES = [
     ("fig1-multi-chain-floor", FIG1, MultiSwitch(0.5), "chain"),
 ]
 
+# Single-switch chains on these catalogue programs are reducible: each grammar
+# state, and each of hamming4o2s14's two pairs of states, is a closed class,
+# so the kernel has no unique stationary law (ROADMAP items 1-2).
+REDUCIBLE_SINGLE = {
+    "grammar4l1", "grammar4l2", "grammar6l2", "grammar8l2", "grammar8l3",
+    "hamming4o2s14",
+}
+for _case in small_benchmarks():
+    _problem = (_case.program, _case.query, _case.evidence)
+    STATIONARITY_CASES += [
+        (f"{_case.name}-multi", _problem, MultiSwitch(0.5), None),
+        (f"{_case.name}-multi0.3-chain-floor", _problem, MultiSwitch(0.3), "chain"),
+    ]
+    if _case.name not in REDUCIBLE_SINGLE:
+        STATIONARITY_CASES.append((f"{_case.name}-single", _problem, SingleSwitch(), None))
+
 
 @pytest.mark.parametrize(
     "label,problem,strategy,store_kind",
@@ -356,6 +376,33 @@ def test_query_equal_to_evidence_estimates_one():
     )
     assert res.estimate == 1.0
     assert res.n_success == 300
+
+
+DETERMINISTIC = parse_program(
+    """
+values(x, [t, f]).
+:- set_sw(x, [0.5, 0.5]).
+e.
+q.
+r :- msw(x, t).
+"""
+)
+
+
+@pytest.mark.parametrize("adaptive", [False, True])
+@pytest.mark.parametrize("strategy", [SingleSwitch(), MultiSwitch(0.5)])
+def test_switch_free_goals_keep_the_empty_state(strategy, adaptive):
+    # neither goal consults a switch, so every state is {} and a step
+    # re-proposes it without forgetting anything
+    res = run_chain(
+        DETERMINISTIC, "q", "e",
+        ChainConfig(steps=100, seed=0, strategy=strategy, adaptive=adaptive,
+                    collect_rows=True),
+    )
+    assert res.estimate == 1.0
+    assert res.accepted == 100
+    assert res.final_state == {}
+    assert len(res.rows) == 100
 
 
 def test_true_evidence_estimates_marginal():
@@ -507,7 +554,7 @@ def test_fig1_pins_hold_when_the_memo_is_cleared_often(strategy, adaptive, monke
     # under 8 nodes before the last insertion, then one path: a node per
     # switch at most, and a leaf
     memo = case.program._engine_memo
-    stack, held = list(memo.roots.values()), 0
+    stack, held = [root for _goal, root in memo.tries.values()], 0
     while stack:
         node = stack.pop()
         held += 1

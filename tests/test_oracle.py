@@ -12,7 +12,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from helpers import mutually_exclusive
+from helpers import MSW_VALUE_TEXT, mutually_exclusive
 from plpmcmc import oracle
 from plpmcmc.evaluator import EvalError, StepLimitExceeded
 from plpmcmc.lang import parse_goal, parse_program
@@ -409,15 +409,23 @@ unb :- call1(G).
 """
 )
 ROUTES = [exact_conditional, exact_conditional_worlds]
+# a compound msw value matched against a pattern that binds a variable
+MSW_VALUE = parse_program(MSW_VALUE_TEXT)
 
 
 @pytest.mark.parametrize(
-    ("query", "evidence", "expected"),
-    [("e", "true", 0.72), ("q", "true", 0.72), ("d", "e", 0.25), ("loopy", "true", 0.0)],
+    ("prog", "query", "evidence", "expected"),
+    [
+        pytest.param(CALLS, "e", "true", 0.72, id="e-true-0.72"),
+        pytest.param(CALLS, "q", "true", 0.72, id="q-true-0.72"),
+        pytest.param(CALLS, "d", "e", 0.25, id="d-e-0.25"),
+        pytest.param(CALLS, "loopy", "true", 0.0, id="loopy-true-0.0"),
+        pytest.param(MSW_VALUE, "q", "e", 0.375, id="msw-value-q-e-0.375"),
+    ],
 )
 @pytest.mark.parametrize("route", ROUTES)
-def test_call_disjunction_and_occurs_check(route, query, evidence, expected):
-    res = route(CALLS, query, evidence)
+def test_call_disjunction_and_occurs_check(route, prog, query, evidence, expected):
+    res = route(prog, query, evidence)
     assert res.p_conditional == pytest.approx(expected, abs=1e-12)
 
 
