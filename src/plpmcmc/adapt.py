@@ -43,11 +43,11 @@ class _Record:
 
     __slots__ = ("q", "total", "count", "group")
 
-    def __init__(self):
+    def __init__(self, group):
         self.q = 1.0
         self.total = 0.0
         self.count = 0
-        self.group = None
+        self.group = group
 
 
 class _Group:
@@ -57,8 +57,8 @@ class _Group:
 
     __slots__ = ("pairs", "index", "vec", "floor")
 
-    def __init__(self, pairs, index):
-        self.pairs = pairs
+    def __init__(self, probs, index):
+        self.pairs = tuple((p, _Record(self)) for p in probs)
         self.index = index
         self.vec = None
         self.floor = None
@@ -67,21 +67,25 @@ class _Group:
 class QStore:
     """Per-(switch, instance, outcome) Q-value, cumulative reward and count.
 
-    Each updated key has one record.  The records of a switch instance's
-    outcomes share a group, built the first time the instance is adapted or
-    its adapted vector is asked for, which holds them in outcome order
-    together with their declared probabilities; an outcome never updated has
-    a record (Q = 1) in its group but not in the store.  `items()` reads the
-    records in the order keys were first updated, and `q` is a read-only
-    snapshot of their Q-values.  A store serves one program.
+    The records of a switch instance's outcomes share a group, built the
+    first time the instance is adapted or its adapted vector is asked for,
+    which holds them in outcome order together with their declared
+    probabilities.  A key enters the store, with its group's record, when it
+    is first updated; an outcome never updated has a record (Q = 1) in its
+    group but not in the store.  `adapt` is the only writer.  `items()` reads
+    the records in the order keys were first updated, and `q` is a read-only
+    snapshot of their Q-values.  In LastReward mode, `increases` counts the
+    updates that raised an already updated key's Q (its previous reward) by
+    more than 1e-9.  A store serves one program.
     """
 
-    __slots__ = ("mode", "_recs", "_groups")
+    __slots__ = ("mode", "increases", "_recs", "_groups")
 
     def __init__(self, mode=AVERAGING):
         if mode not in (AVERAGING, LAST_REWARD):
             raise ValueError(f"unknown QStore mode {mode!r}")
         self.mode = mode
+        self.increases = 0
         self._recs = {}  # updated keys -> record
         self._groups = {}  # (switch, instance) -> group
 
@@ -90,37 +94,11 @@ class QStore:
         """Q-value by updated key, in update order (a read-only snapshot)."""
         return MappingProxyType({key: rec.q for key, rec in self._recs.items()})
 
-    def _record(self, key):
-        """The record of `key`, added to the store if it was not in it."""
-        rec = self._recs.get(key)
-        if rec is None:
-            g = self._groups.get(key[:2])
-            k = None if g is None else g.index.get(key[2])
-            rec = _Record() if k is None else g.pairs[k][1]
-            self._recs[key] = rec
-        return rec
-
     def _group(self, s, i, info):
         g = self._groups.get((s, i))
         if g is None:
-            pairs = []
-            for p, v in zip(info.probs, info.outcomes):
-                rec = self._recs.get((s, i, v))
-                pairs.append((p, _Record() if rec is None else rec))
-            g = self._groups[(s, i)] = _Group(tuple(pairs), info.index)
-            for _p, rec in pairs:
-                rec.group = g
+            g = self._groups[(s, i)] = _Group(info.probs, info.index)
         return g
-
-    def update(self, key, reward):
-        rec = self._record(key)
-        t_new = rec.total + reward
-        c_new = rec.count + 1
-        rec.total = t_new
-        rec.count = c_new
-        rec.q = t_new / c_new if self.mode == AVERAGING else reward
-        if rec.group is not None:
-            rec.group.vec = None
 
     def items(self):
         """(key, Q, count, total) rows for reporting, insertion-ordered."""
@@ -140,28 +118,25 @@ def adapt(trace, reward, store: QStore, prog: Program):
     r = reward
     recs = store._recs
     rtrace = trace[::-1]
-    if type(store).update is not QStore.update:
-        # A subclass's `update` decides what changes; read the records after.
-        for key in rtrace:
-            store.update(key, r)
-            r = _expected_q(store._group(key[0], key[1], prog.switch_info(key[0])))
-        return store
-    # QStore's own update, done here with one lookup per key.  Each key is
-    # looked up when its turn comes, after the later positions' updates.
     averaging = store.mode == AVERAGING
+    # Each key is looked up when its turn comes, after the later positions'
+    # updates.
     for key, rec in zip(rtrace, map(recs.get, rtrace)):
         if rec is None:
-            rec = store._record(key)
+            g = store._group(key[0], key[1], prog.switch_info(key[0]))
+            rec = recs[key] = g.pairs[g.index[key[2]]][1]
         t_new = rec.total + r
         c_new = rec.count + 1
         rec.total = t_new
         rec.count = c_new
-        rec.q = t_new / c_new if averaging else r
-        g = rec.group
-        if g is None:
-            g = store._group(key[0], key[1], prog.switch_info(key[0]))
+        if averaging:
+            rec.q = t_new / c_new
         else:
-            g.vec = None
+            if c_new > 1 and r > rec.q + 1e-9:
+                store.increases += 1
+            rec.q = r
+        g = rec.group
+        g.vec = None
         pairs = g.pairs
         if len(pairs) == 2:
             # the common two-outcome switch, summed as `_expected_q` sums it
@@ -259,29 +234,12 @@ class AdaptedSource:
         return ratio
 
 
-class _MonotonicityAudit(QStore):
-    """LastReward store that records every (key, previous, new) reward
-    increase.  In LastReward mode a key's Q is its previous reward."""
-
-    __slots__ = ("violations",)
-
-    def __init__(self):
-        super().__init__(LAST_REWARD)
-        self.violations = []
-
-    def update(self, key, reward):
-        rec = self._recs.get(key)
-        if rec is not None and rec.count and reward > rec.q + 1e-9:
-            self.violations.append((key, rec.q, reward))
-        super().update(key, reward)
-
-
 class IndependentResult(NamedTuple):
     estimate: float
     samples: int
     evidence_successes: int
     joint_successes: int
-    monotonicity_violations: list
+    monotonicity_violations: int
     qstore: QStore
 
 
@@ -301,13 +259,14 @@ def independent_sampler(
     evidence trace is adapted with reward 1/0.  The estimate is
     (#samples where evidence and query both hold) / (#samples where evidence
     holds).  The caller is responsible for only using this on Markovian
-    structures; the reward-monotonicity diagnostic (per-key rewards should be
-    non-increasing) reports violations, which are expected on non-Markovian
-    programs.
+    structures.  `monotonicity_violations` is the store's `increases`: the
+    number of updates that raised a key's reward above its previous one
+    (per-key rewards should be non-increasing), which is expected on
+    non-Markovian programs.
     """
     if n <= 0:
         raise ValueError("sample count must be positive")
-    store = _MonotonicityAudit()
+    store = QStore(LAST_REWARD)
     source = AdaptedSource(store)
     rng = random.Random(f"{seed}/indep")
     n_e = 0
@@ -328,4 +287,4 @@ def independent_sampler(
         adapt(res_e.trace, 1.0 if res_e.success else 0.0, store, prog)
     if n_e == 0:
         raise EvalError("no evidence-consistent samples; cannot estimate")
-    return IndependentResult(n_qe / n_e, n, n_e, n_qe, store.violations, store)
+    return IndependentResult(n_qe / n_e, n, n_e, n_qe, store.increases, store)

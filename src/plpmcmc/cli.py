@@ -4,8 +4,9 @@ Subcommands:
     run       MCMC (or, with --markovian on, adaptive independent) sampling
     exact     brute-force exact inference
     genbench  write a generated benchmark program plus its manifest
-    qdump     run `run`'s sampler with fixed settings (single switch, adaptation
-              on, one chain, no burn-in) and dump the learned Q-table as CSV
+    qdump     run `run`'s sampler with fixed settings (its default multi-switch
+              resampling, adaptation on, one chain, no burn-in) and dump the
+              learned Q-table as CSV
 
 Exit codes: 0 ok, 2 usage, 3 parse error, 4 runtime error.
 """
@@ -110,7 +111,8 @@ def _build_parser() -> argparse.ArgumentParser:
     qd = sub.add_parser("qdump", parents=[inputs, sampler],
                         help="dump learned Q-values as CSV")
     qd.add_argument("--out", default=None, help="CSV path (default: stdout)")
-    # `run`'s settings, fixed: one single-switch adaptive chain, no burn-in, no rows
+    # `run`'s settings, fixed: one adaptive chain with `run`'s default
+    # resampling (multi-switch, p = 0.5), no burn-in, no rows
     qd.set_defaults(func=_cmd_qdump, burnin=0, resample=None, multi_prob=0.5,
                     adapt="on", chains=1, csv=None)
 
@@ -143,7 +145,7 @@ def _check(args):
 def _chains(args, prog, query, evidence):
     """Yield the result of each of `args.chains` chains, seeded `args.seed + k`:
     an `IndependentResult` with --markovian on, else a `ChainResult`."""
-    strategy = MultiSwitch(args.multi_prob) if args.resample == "multi" else SingleSwitch()
+    strategy = SingleSwitch() if args.resample == "single" else MultiSwitch(args.multi_prob)
     for k in range(args.chains):
         if _on(args.markovian):
             yield independent_sampler(prog, query, evidence, args.samples,
@@ -183,13 +185,13 @@ def _cmd_run(args) -> int:
     _check(args)
     prog, query, evidence = _inputs(args)
     markovian = _on(args.markovian)
-    resample = args.resample or "single"
+    resample = "-" if markovian else args.resample or "multi"
     _echo_manifest([
         ("program", args.program),
         ("query", args.query),
         ("evidence", args.evidence),
         ("mode", "independent" if markovian else "mcmc"),
-        ("resample", "-" if markovian else resample),
+        ("resample", resample),
         ("multi_prob", args.multi_prob if resample == "multi" else "-"),
         # the independent sampler always adapts
         ("adapt", "on" if markovian else args.adapt),
@@ -204,7 +206,7 @@ def _cmd_run(args) -> int:
     for k, res in enumerate(_chains(args, prog, query, evidence)):
         estimates.append(res.estimate)
         if markovian:
-            violations = len(res.monotonicity_violations)
+            violations = res.monotonicity_violations
             print(
                 f"chain {k}: estimate={res.estimate:.6f} "
                 f"evidence_ok={res.evidence_successes}/{res.samples} "

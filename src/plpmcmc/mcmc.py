@@ -73,9 +73,8 @@ class ChainConfig:
     seed: int = 0
     step_limit: int = DEFAULT_STEP_LIMIT
     # The Q-store an adaptive chain trains (a fresh averaging QStore when
-    # None); ignored by non-adaptive chains.  The store carries the update
-    # policy: QStore(LAST_REWARD) for last-reward adaptation, or a subclass
-    # whose `update` does nothing for a fixed adapted proposal.
+    # None); ignored by non-adaptive chains.  The store's mode is the update
+    # policy: QStore(LAST_REWARD) for last-reward adaptation.
     initial_qstore: QStore | None = None
     collect_rows: bool = False
     # on_iteration(it, current, proposed, a, accepted) after every step:

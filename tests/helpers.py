@@ -1,11 +1,11 @@
 """Helpers that only the tests use: exclusivity of partial assignments, the
 benchmark generator families by seed, a Q-store record read through
-`QStore.items()`, a Q-store that never learns, a program printer for
+`QStore.items()`, a reference Q-store of plain dicts, a program printer for
 round-trip tests and a program shared by the engine and oracle tests.  The
 file name keeps pytest from collecting it; test modules import it as a
 helper."""
 
-from plpmcmc.adapt import QStore
+from plpmcmc.adapt import AVERAGING
 from plpmcmc.bench import gen_bn, gen_chain, gen_grammar, gen_hamming, random_reach
 from plpmcmc.lang import Program, term_to_str
 
@@ -52,13 +52,50 @@ def record(store, key):
     return 1.0, 0, 0.0
 
 
-class FrozenStore(QStore):
-    """A Q-store that never learns: all Q-values stay at their initial 1."""
+class DictStore:
+    """A Q-store kept as three dicts, with the reward propagation and adapted
+    vectors written against them: the reference the record-per-key store
+    must match bit for bit.  `updates` logs every update as (key, count
+    before, Q before, Q after), and `increases` counts the LastReward
+    updates that raised an updated key's Q by more than 1e-9."""
 
-    __slots__ = ()
+    def __init__(self, mode=AVERAGING):
+        self.mode = mode
+        self.q, self.total, self.count = {}, {}, {}
+        self.updates = []
+        self.increases = 0
 
     def update(self, key, reward):
-        pass
+        q_before, c_before = self.q.get(key, 1.0), self.count.get(key, 0)
+        if self.mode != AVERAGING and c_before and reward > q_before + 1e-9:
+            self.increases += 1
+        self.total[key] = self.total.get(key, 0.0) + reward
+        self.count[key] = c_before + 1
+        self.q[key] = self.total[key] / self.count[key] if self.mode == AVERAGING else reward
+        self.updates.append((key, c_before, q_before, self.q[key]))
+
+    def adapt(self, trace, reward, prog):
+        r = reward
+        for s, i, v in reversed(trace):
+            self.update((s, i, v), r)
+            info = prog.switch_info(s)
+            acc = 0.0
+            for k in range(len(info.outcomes)):
+                acc += info.probs[k] * self.q.get((s, i, info.outcomes[k]), 1.0)
+            r = acc
+
+    def probs(self, s, i, info, floor):
+        qs = [max(self.q.get((s, i, v), 1.0), floor) for v in info.outcomes]
+        if all(q == qs[0] for q in qs):
+            return info.probs
+        weights = [info.probs[k] * qs[k] for k in range(len(qs))]
+        total = sum(weights)
+        return tuple(w / total for w in weights)
+
+    def rows(self):
+        """(key, Q, count, total) rows in first-update order, as
+        `QStore.items()` reads them."""
+        return [(k, self.q[k], self.count[k], self.total[k]) for k in self.q]
 
 
 def program_to_str(prog: Program) -> str:

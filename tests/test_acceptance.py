@@ -24,8 +24,9 @@ from exact_kernel import (
     evidence_rejection_rate,
     stationary_distribution,
 )
-from helpers import FrozenStore, mutually_exclusive, record
-from plpmcmc.adapt import QStore, independent_sampler
+from helpers import DictStore, mutually_exclusive
+from plpmcmc import mcmc
+from plpmcmc.adapt import adapt, independent_sampler
 from plpmcmc.bench import (
     fig1,
     gen_bn,
@@ -113,22 +114,24 @@ def test_03_nonadaptive_sampler_consistency(fig1_runs):
     assert fig1_runs["elapsed_nonadaptive"] < 120.0
 
 
-def test_04_adaptive_sampler_consistency_and_frozen_identity(fig1_case, fig1_runs):
+def test_04_adaptive_sampler_consistency_and_frozen_identity(fig1_case, fig1_runs, monkeypatch):
     case = fig1_case
-    # all-ones frozen store: the adaptive code path must reproduce the
-    # non-adaptive chain bit for bit
-    for sname, strat in (("single", SingleSwitch()), ("multi", MultiSwitch(0.5))):
-        plain = fig1_runs[sname][0]
-        frozen = run_chain(
-            case.program, case.query, case.evidence,
-            ChainConfig(steps=N, seed=0, strategy=strat, adaptive=True,
-                        initial_qstore=FrozenStore(), collect_rows=True),
-        )
-        assert [r[:5] for r in frozen.rows] == [r[:5] for r in plain.rows], sname
-        assert frozen.final_state == plain.final_state
-        assert frozen.estimate == plain.estimate
-        assert frozen.accepted == plain.accepted
-        assert frozen.evidence_rejections == plain.evidence_rejections
+    # all-ones frozen store (an `adapt` that changes nothing): the adaptive
+    # code path must reproduce the non-adaptive chain bit for bit
+    with monkeypatch.context() as m:
+        m.setattr(mcmc, "adapt", lambda *args: None)
+        for sname, strat in (("single", SingleSwitch()), ("multi", MultiSwitch(0.5))):
+            plain = fig1_runs[sname][0]
+            frozen = run_chain(
+                case.program, case.query, case.evidence,
+                ChainConfig(steps=N, seed=0, strategy=strat, adaptive=True,
+                            collect_rows=True),
+            )
+            assert [r[:5] for r in frozen.rows] == [r[:5] for r in plain.rows], sname
+            assert frozen.final_state == plain.final_state
+            assert frozen.estimate == plain.estimate
+            assert frozen.accepted == plain.accepted
+            assert frozen.evidence_rejections == plain.evidence_rejections
 
     # estimate bound: trained proposals drive Q(r(a,c)=f), an outcome only the
     # query needs, to 0; the defensive floor keeps its proposal mass at least
@@ -202,27 +205,28 @@ def test_06_paired_evaluations_identical_or_exclusive():
     assert time.perf_counter() - t0 < 60.0
 
 
-def test_07_adaptation_increments_diminish(fig1_case):
+def test_07_adaptation_increments_diminish(fig1_case, monkeypatch):
     case = fig1_case
-    updates = []
-    violations = []
+    # the dict reference runs in lockstep with the chain's store: it logs
+    # every update, and the store must equal it after every call
+    ref = DictStore()
 
-    class AuditedStore(QStore):
-        __slots__ = ()
+    def lockstep(trace, reward, store, prog):
+        adapt(trace, reward, store, prog)
+        ref.adapt(trace, reward, prog)
+        assert list(store.items()) == ref.rows()
 
-        def update(self, key, reward):
-            q_before, c_before, _ = record(self, key)
-            super().update(key, reward)
-            q_new = record(self, key)[0]
-            updates.append(key)
-            if not increment_within_bound(q_before, q_new, c_before):
-                violations.append((key, c_before, q_before, q_new))
-
+    monkeypatch.setattr(mcmc, "adapt", lockstep)
     run_chain(
         case.program, case.query, case.evidence,
-        ChainConfig(steps=10_000, seed=0, adaptive=True, initial_qstore=AuditedStore()),
+        ChainConfig(steps=10_000, seed=0, adaptive=True),
     )
-    assert len(updates) >= 10_000
+    violations = [
+        (key, c_before, q_before, q_new)
+        for key, c_before, q_before, q_new in ref.updates
+        if not increment_within_bound(q_before, q_new, c_before)
+    ]
+    assert len(ref.updates) >= 10_000
     assert not violations, violations[:10]
 
 

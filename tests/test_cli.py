@@ -7,10 +7,12 @@ import re
 import pytest
 
 from plpmcmc.adapt import independent_sampler
+from plpmcmc.bench import gen_grammar
 from plpmcmc.cli import CSV_HEADER, _build_parser, main
 from plpmcmc.evaluator import initial_sample
 from plpmcmc.lang import parse_program, term_to_str
-from plpmcmc.mcmc import ChainConfig, run_chain
+from plpmcmc.mcmc import ChainConfig, MultiSwitch, run_chain
+from plpmcmc.oracle import exact_conditional
 
 PROG_TEXT = """\
 values(x, [t, f]).
@@ -54,13 +56,34 @@ def test_run_basic(prog_path, capsys):
     assert m, out
     # the printed estimate is the library's estimate for the same settings
     expected = run_chain(
-        parse_program(PROG_TEXT), "q", "e", ChainConfig(steps=500, seed=3)
+        parse_program(PROG_TEXT), "q", "e",
+        ChainConfig(steps=500, seed=3, strategy=MultiSwitch(0.5)),
     ).estimate
     assert abs(float(m.group(1)) - expected) <= 5e-7
     assert "# program: " in err
     assert "# mode: mcmc" in err
-    assert "# resample: single" in err
+    assert "# resample: multi" in err
     assert "pooled:" not in out
+
+
+@pytest.mark.parametrize("adapt", ["off", "on"])
+@pytest.mark.parametrize("case", [gen_grammar(4, 2), gen_grammar(8, 3)], ids=lambda c: c.name)
+def test_default_run_moves_between_grammar_worlds(case, adapt, tmp_path, capsys):
+    # a single-switch chain cannot leave the world it starts in on these
+    # programs; the default multi-switch chain lands near the exact answer
+    path = tmp_path / f"{case.name}.plp"
+    path.write_text(case.text, encoding="utf-8")
+    truth = exact_conditional(case.program, case.query, case.evidence).p_conditional
+    for seed in range(3):
+        code = run_cli([
+            "run", "--program", str(path), "--query", case.query_text,
+            "--evidence", case.evidence_text, "--samples", "5000",
+            "--seed", str(seed), "--adapt", adapt,
+        ])
+        out, _err = capsys.readouterr()
+        assert code == 0
+        estimate = float(CHAIN_LINE.search(out).group(1))
+        assert abs(estimate - truth) <= 0.1, (seed, estimate, truth)
 
 
 def test_run_multi_resample_manifest(prog_path, capsys):
@@ -470,7 +493,7 @@ def test_qdump_matches_library_run(prog_path, capsys):
     assert lines[0] == "switch,instance,outcome,q,count,total"
     res = run_chain(
         parse_program(PROG_TEXT), "q", "e",
-        ChainConfig(steps=300, seed=5, adaptive=True),
+        ChainConfig(steps=300, seed=5, strategy=MultiSwitch(0.5), adaptive=True),
     )
     expected = {
         (s, i, v): (q, c, t) for (s, i, v), q, c, t in res.qstore.items()

@@ -12,7 +12,7 @@ from hypothesis import strategies as st
 
 from helpers import MSW_VALUE_TEXT, mutually_exclusive
 from plpmcmc import evaluator
-from plpmcmc.adapt import AdaptedSource, QStore
+from plpmcmc.adapt import AdaptedSource, QStore, adapt
 from plpmcmc.bench import fig1, gen_bn, small_benchmarks
 from plpmcmc.evaluator import (
     EvalError,
@@ -476,7 +476,7 @@ def _memo_case(k):
     store = QStore()
     for s in case.program.dists:
         for v in case.program.switch_info(s).outcomes:
-            store.update((s, 0, v), rng.uniform(0.05, 1.0))
+            adapt([(s, 0, v)], rng.uniform(0.05, 1.0), store, case.program)
     source = AdaptedSource(store)
     for n in range(300):
         for goal in (case.query, case.evidence):

@@ -24,9 +24,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from exact_kernel import build_transition_system, leaf_weight, stationary_distribution
-from helpers import FrozenStore, record
-from plpmcmc import evaluator
-from plpmcmc.adapt import AdaptedSource, QStore
+from helpers import record
+from plpmcmc import evaluator, mcmc
+from plpmcmc.adapt import AdaptedSource, QStore, adapt
 from plpmcmc.bench import fig1, gen_bn, small_benchmarks
 from plpmcmc.evaluator import EvalError, UnsatisfiableEvidence, initial_sample, sample_eval
 from plpmcmc.lang import Var, parse_goal, parse_program
@@ -206,7 +206,7 @@ def test_adaptive_ratio_hand_computed():
     # Q(x,t)=0.5 gives P'(x) = (0.15, 0.7)/0.85; flipping x from t to f has
     # ratio P'(t)/P(t) * P(f)/P'(f) = 0.5 exactly in real arithmetic
     store = QStore()
-    store.update(("x", 0, "t"), 0.5)
+    adapt([("x", 0, "t")], 0.5, store, DISJ)
     src = AdaptedSource(store)
     cur = {("x", 0): "t", ("y", 0): "t"}
     prop = {("x", 0): "f", ("y", 0): "t"}
@@ -277,9 +277,9 @@ def test_kernel_is_exactly_stationary(label, problem, strategy, store_kind):
         source = None
     elif store_kind == "handmade":
         store = QStore()
-        store.update(("x", 0, "t"), 0.35)
-        store.update(("y", 0, "t"), 0.9)
-        store.update(("y", 0, "f"), 0.2)
+        adapt([("x", 0, "t")], 0.35, store, prog)
+        adapt([("y", 0, "t")], 0.9, store, prog)
+        adapt([("y", 0, "f")], 0.2, store, prog)
         source = AdaptedSource(store)
     elif store_kind == "trained":
         source = AdaptedSource(_trained_store(prog, query, evidence))
@@ -350,7 +350,7 @@ def test_sampled_evidence_frequencies_match_leaf_weights(base):
 
 def test_adapted_sampling_matches_adapted_leaf_weights():
     store = QStore()
-    store.update(("x", 0, "t"), 0.25)
+    adapt([("x", 0, "t")], 0.25, store, DISJ)
     src = AdaptedSource(store)
     dist = {}
     for ok, sigma in iter_eval_leaves(DISJ, "e", {}):
@@ -495,8 +495,10 @@ def test_final_state_is_exactly_the_touched_sets():
             assert set(st_) == set(re_e.assignment) | set(re_q.assignment)
 
 
-def test_frozen_all_ones_adaptive_is_bitwise_nonadaptive():
+def test_frozen_all_ones_adaptive_is_bitwise_nonadaptive(monkeypatch):
     case = fig1()
+    # an `adapt` that changes nothing keeps the chain's store at all ones
+    monkeypatch.setattr(mcmc, "adapt", lambda *args: None)
     for strategy in (SingleSwitch(), MultiSwitch(0.5)):
         plain = run_chain(
             case.program, case.query, case.evidence,
@@ -505,7 +507,7 @@ def test_frozen_all_ones_adaptive_is_bitwise_nonadaptive():
         frozen = run_chain(
             case.program, case.query, case.evidence,
             ChainConfig(steps=2500, seed=3, strategy=strategy, collect_rows=True,
-                        adaptive=True, initial_qstore=FrozenStore()),
+                        adaptive=True),
         )
         assert [r[:5] for r in plain.rows] == [r[:5] for r in frozen.rows]
         assert plain.final_state == frozen.final_state
