@@ -10,7 +10,8 @@ from __future__ import annotations
 import itertools
 import random
 import string
-from dataclasses import dataclass, field
+from dataclasses import dataclass
+from functools import cached_property
 
 from .lang import Program, parse_goal, parse_program
 
@@ -25,28 +26,19 @@ class BenchCase:
     query_text: str
     evidence_text: str
     seed: int | None = None
+
     # parsed on first read and kept: goal terms are immutable
-    _program: Program | None = field(default=None, repr=False, compare=False)
-    _query: object = field(default=None, repr=False, compare=False)
-    _evidence: object = field(default=None, repr=False, compare=False)
-
-    @property
+    @cached_property
     def program(self) -> Program:
-        if self._program is None:
-            self._program = parse_program(self.text)
-        return self._program
+        return parse_program(self.text)
 
-    @property
+    @cached_property
     def query(self):
-        if self._query is None:
-            self._query = parse_goal(self.query_text)
-        return self._query
+        return parse_goal(self.query_text)
 
-    @property
+    @cached_property
     def evidence(self):
-        if self._evidence is None:
-            self._evidence = parse_goal(self.evidence_text)
-        return self._evidence
+        return parse_goal(self.evidence_text)
 
     @property
     def n_switches(self) -> int:

@@ -298,65 +298,55 @@ _TOKEN_RE = re.compile(
     | (?P<atom>[a-z][A-Za-z0-9_]*)
     | (?P<var>[A-Z_][A-Za-z0-9_]*)
     | (?P<punct>[()\[\],|;.])
+    | (?P<bad>.)
     """,
-    re.VERBOSE,
+    re.VERBOSE | re.DOTALL,
 )
 
 
-class _Tokens:
+class _Parser:
+    """Recursive descent over the (kind, value, offset) tokens of one
+    `finditer` pass; an offset becomes a line and column only in an error."""
+
     def __init__(self, text):
         self.text = text
-        self.toks = []  # (kind, value, line, col)
-        line, col = 1, 1
-        pos = 0
-        while pos < len(text):
-            m = _TOKEN_RE.match(text, pos)
-            if m is None:
-                raise ParseError(f"unexpected character {text[pos]!r}", line, col)
-            kind = m.lastgroup
-            val = m.group()
-            if kind != "ws":
-                self.toks.append((kind, val, line, col))
-            nl = val.count("\n")
-            if nl:
-                line += nl
-                col = len(val) - val.rfind("\n")
-            else:
-                col += len(val)
-            pos = m.end()
+        self.toks = [(m.lastgroup, m.group(), m.start())
+                     for m in _TOKEN_RE.finditer(text) if m.lastgroup != "ws"]
+        for kind, val, off in self.toks:
+            if kind == "bad":
+                raise self.error(f"unexpected character {val!r}", off)
+        self.toks.append(("eof", "", -1))
         self.i = 0
 
+    def error(self, message, off):
+        """A ParseError at text offset `off`; end of input (-1) is at (-1, -1)."""
+        if off < 0:
+            return ParseError(message, -1, -1)
+        nl = self.text.rfind("\n", 0, off)
+        return ParseError(message, self.text.count("\n", 0, off) + 1, off - nl)
+
     def peek(self):
-        if self.i < len(self.toks):
-            return self.toks[self.i]
-        return ("eof", "", -1, -1)
+        return self.toks[self.i][1]
 
     def next(self):
-        t = self.peek()
+        tok = self.toks[self.i]
         self.i += 1
-        return t
+        return tok
 
     def expect(self, value):
-        kind, val, line, col = self.next()
-        if val != value or kind == "eof":
-            raise ParseError(f"expected {value!r}, found {val or 'end of input'!r}", line, col)
-
-
-class _Parser:
-    def __init__(self, text):
-        self.toks = _Tokens(text)
+        _, val, off = self.next()
+        if val != value:
+            raise self.error(f"expected {value!r}, found {val or 'end of input'!r}", off)
 
     # -- terms ------------------------------------------------------------
 
     def parse_term(self, varmap, allow_float=False):
-        kind, val, line, col = self.toks.next()
+        kind, val, off = self.next()
         if kind == "num":
             if "." in val or "e" in val or "E" in val:
                 if not allow_float:
-                    raise ParseError(
-                        "float literals are only allowed in set_sw probability lists",
-                        line,
-                        col,
+                    raise self.error(
+                        "float literals are only allowed in set_sw probability lists", off
                     )
                 return float(val)
             return int(val)
@@ -369,92 +359,81 @@ class _Parser:
                 varmap[val] = v
             return v
         if kind == "atom":
-            if self.toks.peek()[1] == "(":
-                self.toks.next()
+            if self.peek() == "(":
+                # arguments are read here, not by parse_terms, so that a
+                # compound costs one frame per nesting level
+                self.i += 1
                 args = [self.parse_term(varmap, allow_float)]
-                while self.toks.peek()[1] == ",":
-                    self.toks.next()
+                while self.peek() == ",":
+                    self.i += 1
                     args.append(self.parse_term(varmap, allow_float))
-                self.toks.expect(")")
+                self.expect(")")
                 return (val, *args)
             return val
         if val == "[":
-            return self.parse_list(varmap, allow_float)
+            if self.peek() == "]":
+                self.i += 1
+                return NIL
+            items = self.parse_terms(varmap, allow_float)
+            out = NIL
+            if self.peek() == "|":
+                self.i += 1
+                out = self.parse_term(varmap, allow_float)
+            self.expect("]")
+            for x in reversed(items):
+                out = (".", x, out)
+            return out
         if val == "(":
             inner = self.parse_group(varmap, allow_float)
-            self.toks.expect(")")
+            self.expect(")")
             return inner
-        raise ParseError(f"unexpected token {val or 'end of input'!r}", line, col)
+        raise self.error(f"unexpected token {val or 'end of input'!r}", off)
 
-    def parse_list(self, varmap, allow_float):
-        if self.toks.peek()[1] == "]":
-            self.toks.next()
-            return NIL
-        items = [self.parse_term(varmap, allow_float)]
-        while self.toks.peek()[1] == ",":
-            self.toks.next()
-            items.append(self.parse_term(varmap, allow_float))
-        tail = NIL
-        if self.toks.peek()[1] == "|":
-            self.toks.next()
-            tail = self.parse_term(varmap, allow_float)
-        self.toks.expect("]")
-        out = tail
-        for x in reversed(items):
-            out = (".", x, out)
-        return out
+    def parse_terms(self, varmap, allow_float=False):
+        """A comma-separated run of terms: list items, a conjunction or a body."""
+        terms = [self.parse_term(varmap, allow_float)]
+        while self.peek() == ",":
+            self.i += 1
+            terms.append(self.parse_term(varmap, allow_float))
+        return terms
 
     def parse_group(self, varmap, allow_float):
         """A parenthesized goal group: conjunction, optionally `;` disjunction."""
-        left = self.parse_conj_term(varmap, allow_float)
-        if self.toks.peek()[1] == ";":
-            self.toks.next()
+        goals = self.parse_terms(varmap, allow_float)
+        left = goals.pop()
+        while goals:
+            left = (",", goals.pop(), left)
+        if self.peek() == ";":
+            self.i += 1
             right = self.parse_group(varmap, allow_float)
             return (";", left, right)
         return left
 
-    def parse_conj_term(self, varmap, allow_float):
-        first = self.parse_term(varmap, allow_float)
-        if self.toks.peek()[1] == ",":
-            self.toks.next()
-            rest = self.parse_conj_term(varmap, allow_float)
-            return (",", first, rest)
-        return first
-
-    def parse_body(self, varmap):
-        goals = [self.parse_term(varmap)]
-        while self.toks.peek()[1] == ",":
-            self.toks.next()
-            goals.append(self.parse_term(varmap))
-        return goals
-
     # -- top level --------------------------------------------------------
 
     def parse_items(self):
-        """Yield ('clause', head, body) | ('directive', term) items."""
-        while self.toks.peek()[0] != "eof":
-            kind, val, line, col = self.toks.peek()
-            if val == ":-":
-                self.toks.next()
-                varmap = {}
-                term = self.parse_term(varmap, allow_float=True)
-                self.toks.expect(".")
-                yield ("directive", term, line, col)
-                continue
+        """Yield ('clause', head, body, offset) | ('directive', term, offset)."""
+        while self.toks[self.i][0] != "eof":
+            _, val, off = self.toks[self.i]
             varmap = {}
+            if val == ":-":
+                self.i += 1
+                term = self.parse_term(varmap, allow_float=True)
+                self.expect(".")
+                yield ("directive", term, off)
+                continue
             head = self.parse_term(varmap)
-            nkind, nval, nline, ncol = self.toks.next()
+            _, nval, noff = self.next()
             if nval == ".":
-                yield ("clause", head, [], line, col)
+                yield ("clause", head, [], off)
             elif nval == ":-":
-                body = self.parse_body(varmap)
-                self.toks.expect(".")
-                yield ("clause", head, body, line, col)
+                body = self.parse_terms(varmap)
+                self.expect(".")
+                yield ("clause", head, body, off)
             else:
-                raise ParseError(
+                raise self.error(
                     f"expected '.' or ':-' after clause head, found {nval or 'end of input'!r}",
-                    nline,
-                    ncol,
+                    noff,
                 )
 
 
@@ -481,20 +460,21 @@ def parse_program(text: str) -> Program:
     syntax problems and ProgramError on bad declarations."""
     prog = Program()
     seen_set_sw = set()
-    for item in _Parser(text).parse_items():
+    parser = _Parser(text)
+    for item in parser.parse_items():
         if item[0] == "directive":
-            _, term, line, col = item
+            _, term, off = item
             if type(term) is tuple and term[0] == "set_sw" and len(term) == 3:
                 s, problist = term[1], term[2]
                 if not is_ground(s):
                     raise ProgramError(f"set_sw switch must be ground: {term_to_str(s)}")
                 probs = term_to_list(problist)
                 if probs is None:
-                    raise ParseError("set_sw expects a probability list", line, col)
+                    raise parser.error("set_sw expects a probability list", off)
                 try:
                     probs = [float(p) for p in probs]
                 except (TypeError, ValueError):
-                    raise ParseError("set_sw probabilities must be numbers", line, col)
+                    raise parser.error("set_sw probabilities must be numbers", off)
                 if s in seen_set_sw:
                     raise ProgramError(f"duplicate set_sw for {term_to_str(s)}")
                 seen_set_sw.add(s)
@@ -502,16 +482,16 @@ def parse_program(text: str) -> Program:
                 # so declaration order does not matter
                 prog.dists[s] = tuple(probs)
                 continue
-            raise ParseError("unsupported directive (only set_sw is recognized)", line, col)
+            raise parser.error("unsupported directive (only set_sw is recognized)", off)
 
-        _, head, body, line, col = item
+        _, head, body, off = item
         if type(head) is tuple and head[0] == "values" and len(head) == 3:
             if body:
-                raise ParseError("values declaration cannot have a body", line, col)
+                raise parser.error("values declaration cannot have a body", off)
             pattern, outlist = head[1], head[2]
             outs = term_to_list(outlist)
             if outs is None:
-                raise ParseError("values expects an outcome list", line, col)
+                raise parser.error("values expects an outcome list", off)
             for o in outs:
                 if not is_ground(o):
                     raise ProgramError(f"values outcomes must be ground: {term_to_str(head)}")
@@ -522,7 +502,7 @@ def parse_program(text: str) -> Program:
 
         name = functor_arity(head)[0] if type(head) in (tuple, str) else None
         if name == "set_sw":
-            raise ParseError("set_sw must be written as a directive:  :- set_sw(...)", line, col)
+            raise parser.error("set_sw must be written as a directive:  :- set_sw(...)", off)
         if name in _RESERVED_HEADS:
             raise ProgramError(f"cannot define clauses for builtin {name!r}")
         prog.add_clause(Clause(head, [_normalize_msw(b) for b in body]))
@@ -533,7 +513,7 @@ def parse_program(text: str) -> Program:
 
 def _validate_distributions(prog):
     for s, probs in prog.dists.items():
-        outs = prog.outcomes_for(s)  # raises if missing or overlapping
+        outs = prog.switch_info(s).outcomes  # raises if missing or overlapping
         if len(probs) != len(outs):
             raise ProgramError(
                 f"set_sw({term_to_str(s)}): {len(probs)} probabilities for "
@@ -551,11 +531,10 @@ def _validate_distributions(prog):
 def parse_goal(text: str):
     """Parse a single goal term, e.g. from a command-line `--query` string."""
     p = _Parser(text)
-    varmap = {}
-    term = p.parse_group(varmap, allow_float=False)
-    if p.toks.peek()[1] == ".":
-        p.toks.next()
-    nkind, nval, line, col = p.toks.next()
-    if nkind != "eof":
-        raise ParseError(f"trailing input after goal: {nval!r}", line, col)
+    term = p.parse_group({}, allow_float=False)
+    if p.peek() == ".":
+        p.i += 1
+    kind, val, off = p.next()
+    if kind != "eof":
+        raise p.error(f"trailing input after goal: {val!r}", off)
     return _normalize_msw(term)

@@ -1,9 +1,9 @@
 """Helpers that only the tests use: exclusivity of partial assignments, the
 benchmark generator families by seed, a Q-store record read through
 `QStore.items()`, a reference Q-store of plain dicts, a program printer for
-round-trip tests and a program shared by the engine and oracle tests.  The
-file name keeps pytest from collecting it; test modules import it as a
-helper."""
+round-trip tests and the programs that the engine, oracle and parser tests
+share.  The file name keeps pytest from collecting it; test modules import
+it as a helper."""
 
 from plpmcmc.adapt import AVERAGING
 from plpmcmc.bench import gen_bn, gen_chain, gen_grammar, gen_hamming, random_reach
@@ -17,6 +17,61 @@ values(s, [f(a), f(b), g(a)]).
 q :- msw(s, f(X)), r(X).
 r(b).
 e :- msw(s, f(_)).
+"""
+
+# Clause heads of every shape the engine's head matcher compiles (repeated
+# variables, nested and fixed arguments, list cells, occurs-check cases),
+# with goals r1..r20 that reach them.
+HEAD_SHAPES_TEXT = """
+values(c(_), [t, f]).
+values(k, [a, b]).
+:- set_sw(c(a), [0.5, 0.5]).
+:- set_sw(c(b), [0.4, 0.6]).
+:- set_sw(c(g(a)), [0.3, 0.7]).
+:- set_sw(c(g(b)), [0.6, 0.4]).
+:- set_sw(c(1), [0.2, 0.8]).
+:- set_sw(c([a, b]), [0.7, 0.3]).
+:- set_sw(k, [0.5, 0.5]).
+p(f(X, X)) :- msw(c(X), t).
+p(f(b, Y)) :- msw(c(Y), f).
+p(f(g(a), a)).
+occ(X, f(X)).
+q(a, 1).
+q(X, 2) :- msw(c(X), t).
+q(b, 3).
+q(g(a), 4) :- msw(c(g(a)), f).
+q(g(X), 5) :- msw(c(X), f).
+q(1, 6).
+q([a|T], 7) :- msw(c(a), t), len(T, _).
+q([], 8).
+sel(a, c(a)).
+sel(b, k).
+len([], z).
+len([_|T], s(N)) :- len(T, N).
+mem(X, [X|_]).
+mem(X, [_|T]) :- mem(X, T).
+app([], L, L).
+app([H|T], L, [H|R]) :- app(T, L, R).
+r1 :- p(f(Y, a)).
+r2 :- p(f(g(Z), Z)).
+r3 :- msw(k, V), p(f(V, W)), msw(c(W), t).
+r4 :- occ(Y, Y).
+r5 :- occ(A, f(A)), msw(c(a), t).
+r6 :- occ(Y, f(g(Y))).
+r7 :- occ(g(Y), f(Y)).
+r8 :- msw(k, S), msw(c(S), V), occ(V, W), q(S, N), msw(c(b), N, V).
+r9 :- msw(k, I), msw(c(a), I, V), msw(c(b), I, V).
+r10 :- msw(k, S), sel(S, W), msw(W, V), msw(c(b), V, t).
+r11 :- msw(c(U), t).
+r12 :- msw(k, K), q(K, N), msw(c(a), N, t).
+r13 :- q(g(a), N), msw(c(b), N, t).
+r14 :- msw(k, K), q(g(K), N), msw(c(K), N, f).
+r15 :- q([a, b], N), msw(c(1), N, t).
+r16 :- len([a, b, c], N), msw(k, V), mem(V, [b, V, a]), msw(c(V), N, t).
+r17 :- msw(k, V), mem(V, [a, b]), mem(g(V), [g(b), g(a)]), msw(c(g(V)), t).
+r18 :- app(X, Y, [a, b]), msw(k, V), len(X, s(N)), msw(c(V), N, t).
+r19 :- (msw(c(a), t) ; msw(c(b), t)), p(f(A, b)), msw(c(A), f).
+r20 :- msw(k, X), q(X, 2), q(X, N), msw(c(b), N, f).
 """
 
 _MISSING = object()

@@ -176,6 +176,8 @@ def test_run_usage_errors(prog_path, capsys):
         ["run", "--program", prog_path, "--query", "q", "--samples", "10",
          "--markovian", "on", "--csv", "x.csv"],
         ["run", "--program", prog_path, "--query", "q", "--samples", "10",
+         "--markovian", "on", "--burnin", "4"],
+        ["run", "--program", prog_path, "--query", "q", "--samples", "10",
          "--step-limit", "0"],
         ["run", "--program", prog_path, "--query", "q", "--samples", "10",
          "--step-limit", "-5"],

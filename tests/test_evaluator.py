@@ -10,7 +10,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from helpers import MSW_VALUE_TEXT, mutually_exclusive
+from helpers import HEAD_SHAPES_TEXT, MSW_VALUE_TEXT, mutually_exclusive
 from plpmcmc import evaluator
 from plpmcmc.adapt import AdaptedSource, QStore, adapt
 from plpmcmc.bench import fig1, gen_bn, small_benchmarks
@@ -624,57 +624,6 @@ def test_added_clause_clears_the_tries():
 # resolution loop was specialised at compile time; any change to a
 # derivation, a trace or a step count changes it.
 
-HEAD_SHAPES_TEXT = """
-values(c(_), [t, f]).
-values(k, [a, b]).
-:- set_sw(c(a), [0.5, 0.5]).
-:- set_sw(c(b), [0.4, 0.6]).
-:- set_sw(c(g(a)), [0.3, 0.7]).
-:- set_sw(c(g(b)), [0.6, 0.4]).
-:- set_sw(c(1), [0.2, 0.8]).
-:- set_sw(c([a, b]), [0.7, 0.3]).
-:- set_sw(k, [0.5, 0.5]).
-p(f(X, X)) :- msw(c(X), t).
-p(f(b, Y)) :- msw(c(Y), f).
-p(f(g(a), a)).
-occ(X, f(X)).
-q(a, 1).
-q(X, 2) :- msw(c(X), t).
-q(b, 3).
-q(g(a), 4) :- msw(c(g(a)), f).
-q(g(X), 5) :- msw(c(X), f).
-q(1, 6).
-q([a|T], 7) :- msw(c(a), t), len(T, _).
-q([], 8).
-sel(a, c(a)).
-sel(b, k).
-len([], z).
-len([_|T], s(N)) :- len(T, N).
-mem(X, [X|_]).
-mem(X, [_|T]) :- mem(X, T).
-app([], L, L).
-app([H|T], L, [H|R]) :- app(T, L, R).
-r1 :- p(f(Y, a)).
-r2 :- p(f(g(Z), Z)).
-r3 :- msw(k, V), p(f(V, W)), msw(c(W), t).
-r4 :- occ(Y, Y).
-r5 :- occ(A, f(A)), msw(c(a), t).
-r6 :- occ(Y, f(g(Y))).
-r7 :- occ(g(Y), f(Y)).
-r8 :- msw(k, S), msw(c(S), V), occ(V, W), q(S, N), msw(c(b), N, V).
-r9 :- msw(k, I), msw(c(a), I, V), msw(c(b), I, V).
-r10 :- msw(k, S), sel(S, W), msw(W, V), msw(c(b), V, t).
-r11 :- msw(c(U), t).
-r12 :- msw(k, K), q(K, N), msw(c(a), N, t).
-r13 :- q(g(a), N), msw(c(b), N, t).
-r14 :- msw(k, K), q(g(K), N), msw(c(K), N, f).
-r15 :- q([a, b], N), msw(c(1), N, t).
-r16 :- len([a, b, c], N), msw(k, V), mem(V, [b, V, a]), msw(c(V), N, t).
-r17 :- msw(k, V), mem(V, [a, b]), mem(g(V), [g(b), g(a)]), msw(c(g(V)), t).
-r18 :- app(X, Y, [a, b]), msw(k, V), len(X, s(N)), msw(c(V), N, t).
-r19 :- (msw(c(a), t) ; msw(c(b), t)), p(f(A, b)), msw(c(A), f).
-r20 :- msw(k, X), q(X, 2), q(X, N), msw(c(b), N, f).
-"""
 HEAD_SHAPES = parse_program(HEAD_SHAPES_TEXT)
 
 HEAD_SHAPE_GOALS = [f"r{k}" for k in range(1, 21)] + [

@@ -1,13 +1,17 @@
 """Parser, term representation and program declarations."""
 
+import hashlib
+
 import pytest
 from hypothesis import given, strategies as st
 
-from helpers import program_to_str
+from helpers import HEAD_SHAPES_TEXT, MSW_VALUE_TEXT, program_to_str
+from plpmcmc.bench import gen_bn, small_benchmarks
 from plpmcmc.evaluator import _compile_clause
 from plpmcmc.lang import (
     Clause,
     ParseError,
+    PlpError,
     ProgramError,
     Var,
     is_ground,
@@ -185,6 +189,16 @@ def test_long_list_fact_loads():
     assert is_ground(clause.head)
 
 
+def test_deep_compound_loads():
+    # the parser spends one frame per nesting level of a compound, so 800
+    # levels load under the default recursion limit; two would stop at 496
+    term = "a"
+    for _ in range(800):
+        term = f"s({term})"
+    (clause,) = parse_program(f"data({term}).").clauses[("data", 1)]
+    assert is_ground(clause.head)
+
+
 def test_term_to_str_round_trips_through_parse_goal():
     for text in ("reach(a,d)", "f(g(h(x)),y)", "p(1,q(2))", "atom"):
         assert term_to_str(parse_goal(text)) == text
@@ -263,3 +277,129 @@ def test_clause_requires_callable_head():
     with pytest.raises(ProgramError, match="callable"):
         parse_program("3.")
     assert Clause("p", []).head == "p"
+
+
+# -- the front end, pinned ---------------------------------------------------
+#
+# Digests are the first 16 hex digits of a sha256 over a repr, as the engine
+# and chain pins are.  Both were computed before the tokenizer became one
+# `finditer` pass that locates errors from token offsets; any change to a
+# parse result, an error message or an error position changes them.
+
+
+def _digest(x):
+    return hashlib.sha256(repr(x).encode()).hexdigest()[:16]
+
+
+def test_parse_results_are_pinned():
+    cases = small_benchmarks() + [gen_bn(4, 4, 3, seed=s) for s in (0, 1, 2, 4)]
+    out = [
+        (program_to_str(parse_program(c.text)), parse_goal(c.query_text),
+         parse_goal(c.evidence_text))
+        for c in cases
+    ]
+    out += [program_to_str(parse_program(t)) for t in (HEAD_SHAPES_TEXT, MSW_VALUE_TEXT)]
+    assert _digest(out) == "63249f2c5ed875c1"
+
+
+# (reader, text): every `raise` of the tokenizer, the parser, `parse_program`,
+# `_normalize_msw` and `_validate_distributions`, placed on the first line,
+# after blank lines, after a `%` comment, after `\r\n`, after a tab, after a
+# bare `\r` and at end of input.
+PROGRAM_ERRORS = [
+    # the tokenizer
+    "p :- q & r.",
+    "\n\n  p(a) = b.",
+    "% comment\np :- q, !.",
+    "p.\r\nq :- @.",
+    "p.\n\tq(a, $).",
+    "p.\rq(é).",
+    "p.\n#",
+    "p(-).",
+    # expected token
+    "p(a, b.",
+    "\n\np(f(a)",
+    "% c\np([a, b).",
+    "p.\r\n\tq([a|b, c]).",
+    "p :- q(a)",
+    ":- set_sw(c, [0.5, 0.5])\n",
+    "p :- (q, r.",
+    "p :- q % no newline",
+    # float literals outside set_sw lists
+    "p(0.5).",
+    "\n\np :- q(1e3).",
+    "% c\nvalues(c, [a, 2.5]).",
+    "p.\r\n\tp(f(g(-0.5))).",
+    # unexpected token
+    "p :- .",
+    ")",
+    "\n\n  p :- q, , r.",
+    "% c\np([a|]).",
+    "p.\r\nq :- (",
+    "p :- % c\n",
+    # clause head not followed by '.' or ':-'
+    "p q.",
+    "\n\np(a)",
+    "% c\np(a) r.",
+    "p.\r\n\tq ; r.",
+    # set_sw directives
+    ":- set_sw(c(X), [0.5, 0.5]).",
+    "\n\n:- set_sw(c, 1).",
+    "% c\n:- set_sw(c, [0.5|T]).",
+    "values(c, [a, b]).\r\n\t:- set_sw(c, [a, b]).",
+    "values(c, [a, b]).\n:- set_sw(c, [f(a), 1]).",
+    "values(c, [a, b]).\n:- set_sw(c, [0.5, 0.5]).\n:- set_sw(c, [0.2, 0.8]).",
+    ":- foo.",
+    "\n\n:- set_sw(c).",
+    "p.\r\n\t:- q, r.",
+    "p.\r:- foo.",
+    # values declarations
+    "values(c, [a]) :- p.",
+    "\n\nvalues(c, a).",
+    "% c\nvalues(c, [a|b]).",
+    "values(c, [X, t]).",
+    "p.\r\n\tvalues(c, [t, t]).",
+    # clause heads
+    "set_sw(c, [1, 0]).",
+    "\n\n\tset_sw(c, [1, 0]) :- p.",
+    "msw(a, b).",
+    "% c\ntrue :- p.",
+    "(a, b).",
+    "p.\r\n(a ; b) :- c.",
+    "3.",
+    "\n\n\tX :- p.",
+    # msw arity
+    "p :- msw(a).",
+    "% c\np :- q, msw(a, b, c, d).",
+    "p :- (q ; msw(a)).",
+    # distributions
+    ":- set_sw(c, [0.5, 0.5]).",
+    "values(r(_), [a, b]).\nvalues(r(a), [a, b]).\n:- set_sw(r(a), [0.5, 0.5]).",
+    "values(d, [a, b, c]).\r\n:- set_sw(d, [0.5, 0.5]).",
+    "values(c, [h, t]).\n\t:- set_sw(c, [1.5, -0.5]).",
+    "values(c, [h, t]).\n% c\n:- set_sw(c, [0.5, 0.6]).",
+]
+GOAL_ERRORS = [
+    "",
+    "p q",
+    "\n\np. q.",
+    "% c\np(a), q ; r)",
+    "p(a,\r\n\tb",
+    "[a, b",
+    "p(0.5)",
+    "\tmsw(a)",
+    "p & q",
+]
+
+
+def _error(reader, text):
+    with pytest.raises(PlpError) as ei:
+        reader(text)
+    e = ei.value
+    return (type(e).__name__, str(e), getattr(e, "line", None), getattr(e, "col", None))
+
+
+def test_parse_errors_are_pinned():
+    out = [_error(parse_program, t) for t in PROGRAM_ERRORS]
+    out += [_error(parse_goal, t) for t in GOAL_ERRORS]
+    assert _digest(out) == "17ff0067c42446bf"
