@@ -519,7 +519,7 @@ def _validate_distributions(prog):
                 f"set_sw({term_to_str(s)}): {len(probs)} probabilities for "
                 f"{len(outs)} declared outcomes"
             )
-        if any(p < 0.0 or p > 1.0 for p in probs):
+        if any(not 0.0 <= p <= 1.0 for p in probs):
             raise ProgramError(f"set_sw({term_to_str(s)}): probabilities must be in [0,1]")
         total = sum(probs)
         if abs(total - 1.0) > 1e-9:

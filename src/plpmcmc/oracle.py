@@ -18,10 +18,12 @@ Two deliberately independent routes:
    in first-read order, so each goal keeps a decision trie of its proofs
    for one call, and a world is proved only when its reads leave the trie
    (PRISM's tabled explanation search, Sato & Kameya 2001, applied to the
-   world prover).  The prover skips clauses whose head's first argument has
-   another top functor than the call's.  Shares nothing with the sampling
-   engine beyond the term layer in `lang`: the term representation and
-   `unify`.
+   world prover).  A trie node keeps the prover's state from before its key
+   was first read, and a world that leaves the trie at that key resumes the
+   proof there (recomputation from a checkpoint, Schulte 1999).  The prover
+   skips clauses whose head's first argument has another top functor than
+   the call's.  Shares nothing with the sampling engine beyond the term
+   layer in `lang`: the term representation and `unify`.
 
 Both sum with math.fsum, so agreement to 1e-12 is meaningful.
 """
@@ -238,27 +240,33 @@ def _world_code(prog: Program):
     return code
 
 
-def holds_in_world(prog: Program, goal, world, read=None) -> bool:
+def holds_in_world(prog: Program, goal, world, read=None, marks=None, start=None) -> bool:
     """Does the ground goal have a derivation in this complete world?
 
     Depth-first, left-to-right SLD resolution with msw read from `world`.
-    Goal lists are linked (goal, rest) pairs, and the stack holds the
-    (goals, theta) alternatives still to try, the first clause on top, so a
-    proof may be as deep as memory allows.  Each selected goal is one step;
-    past WORLD_STEP_LIMIT steps the search raises StepLimitExceeded.  A call
-    skips, before renaming, each clause whose head's first argument has
-    another `_first_key` than the call's.
+    Goal lists are linked (goal, rest) pairs, and the stack is a linked
+    ((goals, theta), rest) list of the alternatives still to try, the first
+    clause on top, so a proof may be as deep as memory allows.  Each
+    selected goal is one step; past WORLD_STEP_LIMIT steps the search raises
+    StepLimitExceeded.  A call skips, before renaming, each clause whose
+    head's first argument has another `_first_key` than the call's.
 
     `read`, a dict, receives every switch-instance key the proof looks up,
     mapped to its value, in first-read order.  The proof is a deterministic
     function of these values in this order: any world that gives the same
     keys the same values gives the same answer after the same reads.
+
+    `unify` never changes a substitution, so (goals, theta, stack, steps)
+    is an immutable snapshot.  `marks`, a dict, maps each key first read
+    here (not yet in `read`) to the snapshot from before its msw goal was
+    selected; `start` resumes from one, steps included.
     """
     code = _world_code(prog)
-    stack = [((goal, None), {})]
-    steps = 0
-    while stack:
-        goals, theta = stack.pop()
+    if start is None:
+        goals, theta, stack, steps = (goal, None), {}, None, 0
+    else:
+        goals, theta, stack, steps = start
+    while True:
         while goals is not None:
             steps += 1
             if steps > WORLD_STEP_LIMIT:
@@ -282,8 +290,10 @@ def holds_in_world(prog: Program, goal, world, read=None) -> bool:
                     if v is None:
                         raise EvalError(f"world does not cover switch instance "
                                         f"{term_to_str(s)}/{term_to_str(inst)}")
-                    if read is not None:
+                    if read is not None and (s, inst) not in read:
                         read[s, inst] = v
+                        if marks is not None:
+                            marks[s, inst] = ((g, goals), theta, stack, steps - 1)
                     theta = unify(g[3], v, theta)
                     if theta is None:
                         break
@@ -292,7 +302,7 @@ def holds_in_world(prog: Program, goal, world, read=None) -> bool:
                     goals = (g[1], (g[2], goals))
                     continue
                 if f == ";" and len(g) == 3:
-                    stack.append(((g[2], goals), theta))
+                    stack = (((g[2], goals), theta), stack)
                     goals = (g[1], goals)
                     continue
                 key = (f, len(g) - 1)
@@ -313,11 +323,13 @@ def holds_in_world(prog: Program, goal, world, read=None) -> bool:
                     rest = goals
                     for b, b_ground in body:
                         rest = (b if b_ground else _rename(b, mapping), rest)
-                    stack.append((rest, theta2))
+                    stack = ((rest, theta2), stack)
             break
         else:
             return True
-    return False
+        if stack is None:
+            return False
+        (goals, theta), stack = stack
 
 
 def _decide(trie, prog, goal, world, position):
@@ -326,33 +338,35 @@ def _decide(trie, prog, goal, world, position):
 
     `trie` holds one goal's proofs as decision paths: its root is stored
     under None, an internal node is (key, the key's universe position,
-    children by the key's value), and a leaf is the proof's answer.  The
-    walk follows `world`; a missing branch runs `holds_in_world` once and
-    inserts its reads as a path, so each read path is proved at most once.
+    children by the key's value, the prover's snapshot from before the key's
+    first read), and a leaf is the proof's answer.  The walk follows `world`
+    into `read`.  A missing branch runs `holds_in_world` once, resumed from
+    the snapshot of the key whose value left the trie (from the goal in an
+    empty trie): the world agrees with that proof on every earlier read, so
+    this is the proof from the goal, step for step.  Its new reads are
+    inserted below with their snapshots, so each read path is proved once.
     """
-    children, value = trie, None
+    children, value, start = trie, None, None
     m = -1
+    read = {}
     while True:
         node = children.get(value)
         if node is None:
             break
         if type(node) is bool:
             return node, m
-        key, pos, children = node
-        value = world[key]
+        key, pos, children, start = node
+        value = read[key] = world[key]
         if pos > m:
             m = pos
-    read = {}
-    ok = holds_in_world(prog, goal, world, read)
-    children, value = trie, None
-    for key, v in read.items():
-        node = children.get(value)
-        if node is None:
-            pos = position[key]
-            node = children[value] = (key, pos, {})
-            if pos > m:
-                m = pos
-        children, value = node[2], v
+    marks = {}
+    ok = holds_in_world(prog, goal, world, read, marks, start)
+    for key, snapshot in marks.items():
+        pos = position[key]
+        node = children[value] = (key, pos, {}, snapshot)
+        if pos > m:
+            m = pos
+        children, value = node[2], read[key]
     children[value] = ok
     return ok, m
 

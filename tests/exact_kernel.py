@@ -9,8 +9,9 @@ assignment, in which a key of the state keeps its value with probability
 every other key draws a fresh one.  That is the same law of next states as
 forgetting each key first: states are touched-only, so a key the walk never
 consults leaves no trace, and a key forgotten and redrawn to its old value
-gives the same next state, which is all `accept_prob` reads.  The stationary
-law is solved for by Gaussian elimination.  The file name keeps pytest from
+gives the same next state, which is all `accept_prob` reads.  Rows of one
+build share each (goal, base) walk's leaf list.  The stationary law is
+solved for by Gaussian elimination.  The file name keeps pytest from
 collecting it; test modules import it as a helper.
 """
 
@@ -35,6 +36,21 @@ def leaf_weight(prog, source, base, leaf, held=None, p=1.0):
     return w
 
 
+def leaf_lists(prog):
+    """leaves(goal, base): the list of `iter_eval_leaves(prog, goal, base)`,
+    walked once per (goal, base) for the life of the returned function."""
+    cache = {}
+
+    def leaves(goal, base):
+        key = (goal, frozenset(base.items()))
+        out = cache.get(key)
+        if out is None:
+            out = cache[key] = list(iter_eval_leaves(prog, goal, dict(base)))
+        return out
+
+    return leaves
+
+
 def forget_choices(state, strategy):
     """(base, probability, held, p) for each walk that the strategy's forget
     step takes out of `state`: one per dropped key under single-switch, and
@@ -50,10 +66,11 @@ def forget_choices(state, strategy):
         yield {}, 1.0, state, getattr(strategy, "p", 1.0)
 
 
-def transition_row(prog, query, evidence, state, strategy, source):
+def transition_row(prog, query, evidence, state, strategy, source, leaves):
     """Exact one-step transition distribution out of `state`, mirroring the
     chain loop: forget, evidence evaluation, query evaluation from the
-    proposal-plus-evidence base, then Metropolis-Hastings accept/reject."""
+    proposal-plus-evidence base, then Metropolis-Hastings accept/reject.
+    `leaves` is a `leaf_lists` function of `prog`."""
     row = {}
     self_key = frozenset(state.items())
 
@@ -62,14 +79,14 @@ def transition_row(prog, query, evidence, state, strategy, source):
             row[key] = row.get(key, 0.0) + w
 
     for base, wf, held, p in forget_choices(state, strategy):
-        for eok, sig_e in iter_eval_leaves(prog, evidence, dict(base)):
+        for eok, sig_e in leaves(evidence, base):
             we = leaf_weight(prog, source, base, sig_e, held, p)
             if not eok:
                 add(self_key, wf * we)  # deterministic rejection
                 continue
             qbase = dict(base)
             qbase.update(sig_e)
-            for qok, sig_q in iter_eval_leaves(prog, query, dict(qbase)):
+            for qok, sig_q in leaves(query, qbase):
                 wq = leaf_weight(prog, source, qbase, sig_q, held, p)
                 nxt = dict(sig_e)
                 nxt.update(sig_q)
@@ -83,11 +100,12 @@ def transition_row(prog, query, evidence, state, strategy, source):
 def build_transition_system(prog, query, evidence, strategy, source=None):
     """{state: transition row} over every state reachable from the states an
     evaluation from the empty assignment can produce."""
+    leaves = leaf_lists(prog)
     seeds = []
-    for eok, sig_e in iter_eval_leaves(prog, evidence, {}):
+    for eok, sig_e in leaves(evidence, {}):
         if not eok:
             continue
-        for _qok, sig_q in iter_eval_leaves(prog, query, dict(sig_e)):
+        for _qok, sig_q in leaves(query, sig_e):
             nxt = dict(sig_e)
             nxt.update(sig_q)
             seeds.append(frozenset(nxt.items()))
@@ -97,7 +115,8 @@ def build_transition_system(prog, query, evidence, strategy, source=None):
         skey = frontier.pop()
         if skey in T:
             continue
-        T[skey] = transition_row(prog, query, evidence, dict(skey), strategy, source)
+        T[skey] = transition_row(prog, query, evidence, dict(skey), strategy, source,
+                                 leaves)
         frontier.extend(k for k in T[skey] if k not in T)
     return T
 
@@ -137,10 +156,11 @@ def stationary_distribution(states, T):
 def evidence_rejection_rate(prog, evidence, pi, strategy, source=None):
     """Stationary share of chain steps whose evidence evaluation fails: the
     mass, under `pi`, of forget choices times failing evidence leaves."""
+    leaves = leaf_lists(prog)
     total = 0.0
     for skey, p in pi.items():
         for base, wf, held, pf in forget_choices(dict(skey), strategy):
-            for eok, sig_e in iter_eval_leaves(prog, evidence, dict(base)):
+            for eok, sig_e in leaves(evidence, base):
                 if not eok:
                     total += p * wf * leaf_weight(prog, source, base, sig_e, held, pf)
     return total

@@ -199,6 +199,18 @@ def test_run_parse_error_is_exit_3(tmp_path, capsys):
     assert "cannot parse" in err
 
 
+@pytest.mark.parametrize("probs", ["0.5,1.5", "nan,nan"])
+def test_exact_refuses_a_probability_outside_the_unit_interval(probs, tmp_path, capsys):
+    bad = tmp_path / "bad.plp"
+    bad.write_text(f"values(c,[h,t]).\n:- set_sw(c,[{probs}]).\nq :- msw(c,h).\n",
+                   encoding="utf-8")
+    code = run_cli(["exact", "--program", str(bad), "--query", "q"])
+    out, err = capsys.readouterr()
+    assert code == 3
+    assert out == ""
+    assert err.strip() == f"error: cannot parse {bad}: set_sw(c): probabilities must be in [0,1]"
+
+
 def test_run_bad_goal_is_exit_3(prog_path, capsys):
     code = run_cli([
         "run", "--program", prog_path, "--query", "q q", "--samples", "10",

@@ -103,6 +103,12 @@ def test_distribution_validation():
         parse_program("values(c,[h,t]). :- set_sw(c,[1.5,-0.5]).")
 
 
+def test_nan_probabilities_are_refused():
+    # every comparison with NaN is false, so only a check that p lies in [0,1] refuses it
+    with pytest.raises(ProgramError, match=r"in \[0,1\]"):
+        parse_program("values(c,[h,t]). :- set_sw(c,[nan,nan]).")
+
+
 def test_float_literals_only_in_set_sw_lists():
     with pytest.raises(ParseError, match="float"):
         parse_program("p(0.5).")

@@ -195,9 +195,35 @@ def test_world_count_guard(monkeypatch):
 # The world route decides once each class of worlds that agree up to the
 # highest universe position a proof read, and proves each goal at most once
 # per read path; the tests below hold it to plain enumeration of every world.
-# Class and proof counts of programs with 4096 and 1024 complete worlds:
-WORLD_CLASSES = {"reach10s4": 771, "chain10p6s16": 48}
-WORLD_PROOFS = {"reach10s4": 345, "chain10p6s16": 13}
+# Class and proof counts of every catalogue program (reach10s4 has 4096
+# complete worlds, chain10p6s16 1024):
+WORLD_CLASSES = {
+    "fig1": 33, "fig1rev": 33, "reach4s1": 11, "reach5s2": 91, "reach6s3": 115,
+    "reach10s4": 771, "bn1x1e0s5": 2, "bn2x1e1s6": 6, "bn1x3e1s7": 24,
+    "bn2x2e1s8": 240, "bn2x2e2s9": 92, "bn2x2e2s10": 240, "hamming2o1s11": 4,
+    "hamming3o2s12": 8, "hamming4o3s13": 16, "hamming4o2s14": 16,
+    "hamming3o1s15": 4, "grammar4l1": 8, "grammar4l2": 8, "grammar6l2": 24,
+    "grammar8l2": 79, "grammar8l3": 79, "chain10p6s16": 48, "chain8p5s17": 24,
+}
+WORLD_PROOFS = {
+    "fig1": 26, "fig1rev": 26, "reach4s1": 13, "reach5s2": 38, "reach6s3": 54,
+    "reach10s4": 345, "bn1x1e0s5": 3, "bn2x1e1s6": 6, "bn1x3e1s7": 12,
+    "bn2x2e1s8": 18, "bn2x2e2s9": 14, "bn2x2e2s10": 20, "hamming2o1s11": 6,
+    "hamming3o2s12": 7, "hamming4o3s13": 12, "hamming4o2s14": 10,
+    "hamming3o1s15": 6, "grammar4l1": 10, "grammar4l2": 13, "grammar6l2": 31,
+    "grammar8l2": 88, "grammar8l3": 110, "chain10p6s16": 13, "chain8p5s17": 12,
+}
+# The least WORLD_STEP_LIMIT under which each catalogue program's world route
+# does not raise: the longest single proof it runs, in steps counted from the
+# goal.
+WORLD_STEP_NEEDS = {
+    "fig1": 33, "fig1rev": 33, "reach4s1": 27, "reach5s2": 43, "reach6s3": 55,
+    "reach10s4": 79, "bn1x1e0s5": 2, "bn2x1e1s6": 4, "bn1x3e1s7": 6,
+    "bn2x2e1s8": 10, "bn2x2e2s9": 15, "bn2x2e2s10": 10, "hamming2o1s11": 6,
+    "hamming3o2s12": 7, "hamming4o3s13": 11, "hamming4o2s14": 13,
+    "hamming3o1s15": 6, "grammar4l1": 19, "grammar4l2": 19, "grammar6l2": 27,
+    "grammar8l2": 35, "grammar8l3": 35, "chain10p6s16": 24, "chain8p5s17": 20,
+}
 
 
 @pytest.mark.parametrize("case", small_benchmarks(), ids=lambda c: c.name)
@@ -213,9 +239,20 @@ def test_world_classes_match_full_enumeration(case, monkeypatch):
     ref = _reference_sums(case.program, case.query, case.evidence)
     for got, want in zip((res.p_query, res.p_evidence, res.p_joint), ref):
         assert got == pytest.approx(want, abs=1e-12)
-    if case.name in WORLD_CLASSES:
-        assert res.leaf_count == WORLD_CLASSES[case.name]
-        assert len(proofs) == WORLD_PROOFS[case.name]
+    assert res.leaf_count == WORLD_CLASSES[case.name]
+    assert len(proofs) == WORLD_PROOFS[case.name]
+
+
+@pytest.mark.parametrize("case", small_benchmarks(), ids=lambda c: c.name)
+def test_world_route_spends_the_steps_of_proofs_from_the_goal(case, monkeypatch):
+    # A proof's steps count from its goal, however much of it was shared with
+    # an earlier proof, so the budget raises at the same step as full proofs.
+    need = WORLD_STEP_NEEDS[case.name]
+    monkeypatch.setattr(oracle, "WORLD_STEP_LIMIT", need - 1)
+    with pytest.raises(StepLimitExceeded, match="step budget"):
+        exact_conditional_worlds(case.program, case.query, case.evidence)
+    monkeypatch.setattr(oracle, "WORLD_STEP_LIMIT", need)
+    exact_conditional_worlds(case.program, case.query, case.evidence)
 
 
 def test_proofs_that_read_no_switch_prove_one_class():
@@ -353,9 +390,9 @@ def test_a_proof_that_raises_in_a_later_class_raises_in_the_same_world(monkeypat
 
     proofs = []
 
-    def recording(prog, goal, world, read=None):
+    def recording(prog, goal, world, read=None, marks=None, start=None):
         proofs.append((goal, world[("x", 0)], world[("y", 0)]))
-        return holds_in_world(prog, goal, world, read)
+        return holds_in_world(prog, goal, world, read, marks, start)
 
     monkeypatch.setattr(oracle, "holds_in_world", recording)
     with pytest.raises(StepLimitExceeded, match="step budget"):
@@ -438,3 +475,9 @@ def test_unbound_goal_is_an_error(route):
 def test_catalogue_tree_results_are_pinned():
     results = [exact_conditional(c.program, c.query, c.evidence) for c in small_benchmarks()]
     assert _digest(results) == "55025f1906c52afe"
+
+
+def test_catalogue_world_results_are_pinned():
+    results = [(c.name, tuple(exact_conditional_worlds(c.program, c.query, c.evidence)))
+               for c in small_benchmarks()]
+    assert _digest(results) == "114b4af75f308378"
