@@ -8,22 +8,21 @@ Two deliberately independent routes:
    mutually exclusive, so summing prob() over success leaves is exact, and
    success + failure leaves together sum to 1.
 
-2. Complete-world enumeration (`exact_conditional_worlds`): sum over every
+2. Complete-world summation (`exact_conditional_worlds`): sum over every
    total assignment of the declared switches, deciding the goals with a
    plain, substitution-based SLD prover that treats msw as a table lookup.
-   Worlds are visited in order, last switch fastest, and one decision
-   covers every world that agrees with the decided one up to the last
-   switch its proofs read: they never looked at the rest, and their
-   outcomes' mass sums to 1.  A proof is a function of the values it read
-   in first-read order, so each goal keeps a decision trie of its proofs
-   for one call, and a world is proved only when its reads leave the trie
-   (PRISM's tabled explanation search, Sato & Kameya 2001, applied to the
-   world prover).  A trie node keeps the prover's state from before its key
-   was first read, and a world that leaves the trie at that key resumes the
-   proof there (recomputation from a checkpoint, Schulte 1999).  The prover
-   skips clauses whose head's first argument has another top functor than
-   the call's.  Shares nothing with the sampling engine beyond the term
-   layer in `lang`: the term representation and `unify`.
+   A proof is a deterministic function of the values it reads in first-read
+   order, so the worlds that agree with one of its read paths share its
+   answer, and their mass is the product of the path's probabilities.  The
+   route therefore walks each goal's tree of read paths depth-first,
+   proving each path once (PRISM's explanation search, Sato & Kameya 2001,
+   applied to the world prover), and never counts worlds.  A trie node
+   keeps the prover's state from before its key was first read, and the
+   walk resumes the proof of another value there (recomputation from a
+   checkpoint, Schulte 1999).  The prover skips clauses whose head's first
+   argument has another top functor than the call's.  Shares nothing with
+   the sampling engine beyond the term layer in `lang`: the term
+   representation and `unify`.
 
 Both sum with math.fsum, so agreement to 1e-12 is meaningful.
 """
@@ -51,7 +50,8 @@ WORLD_STEP_LIMIT = 200000
 
 
 class BranchLimitExceeded(PlpError):
-    """The evaluation tree (or world count) is larger than DEFAULT_BRANCH_LIMIT."""
+    """A walk of the evaluation tree or of a goal's read tree has more than
+    DEFAULT_BRANCH_LIMIT leaves."""
 
 
 class ExactResult(NamedTuple):
@@ -332,110 +332,94 @@ def holds_in_world(prog: Program, goal, world, read=None, marks=None, start=None
         (goals, theta), stack = stack
 
 
-def _decide(trie, prog, goal, world, position):
-    """(does `goal` hold in `world`, highest universe position its proof
-    reads, -1 for none), read from `trie` where it can be.
-
-    `trie` holds one goal's proofs as decision paths: its root is stored
-    under None, an internal node is (key, the key's universe position,
-    children by the key's value, the prover's snapshot from before the key's
-    first read), and a leaf is the proof's answer.  The walk follows `world`
-    into `read`.  A missing branch runs `holds_in_world` once, resumed from
-    the snapshot of the key whose value left the trie (from the goal in an
-    empty trie): the world agrees with that proof on every earlier read, so
-    this is the proof from the goal, step for step.  Its new reads are
-    inserted below with their snapshots, so each read path is proved once.
-    """
-    children, value, start = trie, None, None
-    m = -1
+def _reads(path):
+    """The reads of a linked (key, value, rest) path, as a dict."""
     read = {}
-    while True:
+    while path is not None:
+        key, value, path = path
+        read[key] = value
+    return read
+
+
+def _leaves(trie, prog, goal, fixed, default):
+    """Yield (holds, mass, path) for each leaf of `goal`'s read tree that
+    agrees with `fixed`, depth-first, first outcome first.
+
+    `trie` holds the goal's proofs as read paths: its root is stored under
+    None, an internal node is (key, children by the key's value, the
+    prover's snapshot from before the key's first read), and a leaf is the
+    proof's answer.  At a key in `fixed` the walk follows that value with
+    weight 1; at any other it takes every outcome, weighted by its declared
+    probability.  `path` is the leaf's reads as a linked (key, value, rest)
+    list, last read first.  A missing branch runs `holds_in_world` once,
+    resumed from the snapshot of the node above it (from the goal in an
+    empty trie), in the world `default` overridden by `fixed` and the
+    path's reads: the proof agrees with the node's proof on every earlier
+    read, so this is the proof from the goal, step for step.  Its new reads
+    are inserted below with their snapshots and the walk goes on there, so
+    each read path is proved once per trie.  Raises BranchLimitExceeded
+    after DEFAULT_BRANCH_LIMIT leaves.
+    """
+    stack = [(trie, None, None, 1.0, None)]
+    leaves = 0
+    while stack:
+        children, value, start, mass, path = frame = stack.pop()
         node = children.get(value)
         if node is None:
-            break
-        if type(node) is bool:
-            return node, m
-        key, pos, children, start = node
-        value = read[key] = world[key]
-        if pos > m:
-            m = pos
-    marks = {}
-    ok = holds_in_world(prog, goal, world, read, marks, start)
-    for key, snapshot in marks.items():
-        pos = position[key]
-        node = children[value] = (key, pos, {}, snapshot)
-        if pos > m:
-            m = pos
-        children, value = node[2], read[key]
-    children[value] = ok
-    return ok, m
+            read = _reads(path)
+            marks = {}
+            ok = holds_in_world(prog, goal, {**default, **fixed, **read}, read, marks, start)
+            for key, snapshot in marks.items():
+                node = children[value] = (key, {}, snapshot)
+                children, value = node[1], read[key]
+            children[value] = ok
+            stack.append(frame)
+        elif type(node) is bool:
+            leaves += 1
+            if leaves > DEFAULT_BRANCH_LIMIT:
+                raise BranchLimitExceeded(
+                    f"read tree of {term_to_str(goal)} exceeds {DEFAULT_BRANCH_LIMIT} leaves"
+                )
+            yield node, mass, path
+        else:
+            key, children, start = node
+            v = fixed.get(key)
+            if v is not None:
+                stack.append((children, v, start, mass, (key, v, path)))
+            else:
+                info = prog.switch_info(key[0])
+                for v, p in zip(reversed(info.outcomes), reversed(info.probs)):
+                    stack.append((children, v, start, mass * p, (key, v, path)))
 
 
 def exact_conditional_worlds(prog: Program, query, evidence) -> ExactResult:
     """Exact ExactResult for cond(query | evidence) by summing over complete
-    worlds, each class of worlds decided once and each read path proved once.
+    worlds, grouped by the read paths of the world prover (`_leaves`).
 
-    The worlds of `world_universe` are visited as an odometer whose last key
-    changes fastest.  In the current world the query and then the evidence
-    are decided, and `m` is the highest universe position either proof read.
-    A proof is a deterministic function of the values of the keys it read,
-    in first-read order, so every world that agrees with this one on
-    positions 0..m has the same two answers: the class's mass is the product
-    of the declared probabilities at positions 0..m (each unread position's
-    outcomes sum to 1), and the odometer advances at position m and resets
-    every position after it.  The sums are those of full enumeration,
-    grouped into fewer and larger terms.
-
-    The same fact lets a goal's earlier proofs decide later classes: each
-    goal keeps a decision trie (`_decide`) for the length of this call, and
-    only a class whose reads leave the trie runs `holds_in_world`.  A proof
-    that raises ends the call, so nothing is inserted for it.  Classes are
-    visited in full enumeration's order, so a proof that raises raises in
-    the same first world.  `leaf_count` is the number of classes decided.
+    Each goal keeps one read trie for the call.  The query's leaves are
+    summed first, which fills its trie; then the evidence's, and below each
+    evidence success the query's leaves that agree with the evidence's
+    reads, each joint term the product of the two masses.  A proof that
+    raises ends the call.  `leaf_count` is the number of leaves summed,
+    which is the tree route's.
     """
-    keys = world_universe(prog)
-    infos = [prog.switch_info(s) for s, _ in keys]
-    count = 1
-    for info in infos:
-        count *= len(info.outcomes)
-        if count > DEFAULT_BRANCH_LIMIT:
-            raise BranchLimitExceeded(f"world count exceeds {DEFAULT_BRANCH_LIMIT}")
-    position = {key: i for i, key in enumerate(keys)}
-    n = len(keys)
-    digits = [0] * n
-    world = {}
-    # mass[i] is the product of the current world's probabilities at
-    # positions 0..i-1
-    mass = [1.0] * (n + 1)
-    changed = 0  # the first position whose outcome is not yet in `world`
+    default = {key: prog.switch_info(key[0]).outcomes[0] for key in world_universe(prog)}
     q_trie = {}
-    e_trie = {}
     p_q = []
     p_e = []
     p_qe = []
-    classes = 0
-    while True:
-        for i in range(changed, n):
-            info = infos[i]
-            world[keys[i]] = info.outcomes[digits[i]]
-            mass[i + 1] = mass[i] * info.probs[digits[i]]
-        classes += 1
-        q_ok, m_q = _decide(q_trie, prog, query, world, position)
-        e_ok, m_e = _decide(e_trie, prog, evidence, world, position)
-        m = max(m_q, m_e)
-        p = mass[m + 1]
+    leaf_count = 0
+    for q_ok, mass, _path in _leaves(q_trie, prog, query, {}, default):
+        leaf_count += 1
         if q_ok:
-            p_q.append(p)
-        if e_ok:
-            p_e.append(p)
+            p_q.append(mass)
+    for e_ok, mass_e, path in _leaves({}, prog, evidence, {}, default):
+        leaf_count += 1
+        if not e_ok:
+            continue
+        p_e.append(mass_e)
+        for q_ok, mass_q, _path in _leaves(q_trie, prog, query, _reads(path), default):
+            leaf_count += 1
             if q_ok:
-                p_qe.append(p)
-        # advance the odometer at position m, carrying leftwards
-        while m >= 0 and digits[m] == len(infos[m].outcomes) - 1:
-            m -= 1
-        if m < 0:
-            break
-        digits[m] += 1
-        digits[m + 1:] = [0] * (n - m - 1)
-        changed = m
-    return _exact_result(p_q, p_e, p_qe, classes, evidence)
+                p_qe.append(mass_e * mass_q)
+    return _exact_result(p_q, p_e, p_qe, leaf_count, evidence)

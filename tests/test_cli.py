@@ -7,7 +7,7 @@ import re
 import pytest
 
 from plpmcmc.adapt import independent_sampler
-from plpmcmc.bench import gen_grammar
+from plpmcmc.bench import gen_bn, gen_grammar
 from plpmcmc.cli import CSV_HEADER, _build_parser, main
 from plpmcmc.evaluator import initial_sample
 from plpmcmc.lang import parse_program, term_to_str
@@ -481,6 +481,28 @@ def test_genbench_families(family, extra, tmp_path, capsys):
     assert prog.dists
     manifest = (tmp_path / f"{family}.manifest").read_text(encoding="utf-8")
     assert "name: " in manifest and "query: " in manifest
+
+
+def test_exact_worlds_answers_a_generated_grid(tmp_path, capsys):
+    # 25 switches, 2^25 complete worlds
+    base = tmp_path / "bn"
+    assert run_cli([
+        "genbench", "--family", "bn", "--out", str(base), "--seed", "0",
+        "--rows", "3", "--cols", "3", "--evidence-count", "2",
+    ]) == 0
+    capsys.readouterr()
+    manifest = dict(line.split(": ", 1) for line in
+                    (tmp_path / "bn.manifest").read_text(encoding="utf-8").splitlines())
+    assert run_cli([
+        "exact", "--program", f"{base}.plp", "--query", manifest["query"],
+        "--evidence", manifest["evidence"], "--method", "worlds",
+    ]) == 0
+    worlds = parse_exact_output(capsys.readouterr()[0])
+    case = gen_bn(3, 3, 2, 0)
+    tree = exact_conditional(case.program, case.query, case.evidence)
+    for k in ("p_query", "p_evidence", "p_joint", "p_conditional"):
+        assert worlds[k] == pytest.approx(getattr(tree, k), abs=1e-12)
+    assert worlds["leaf_count"] == tree.leaf_count == 676
 
 
 def test_genbench_bad_params_exit_2(tmp_path, capsys):

@@ -27,7 +27,7 @@ from exact_kernel import build_transition_system, leaf_weight, stationary_distri
 from helpers import record
 from plpmcmc import evaluator, mcmc
 from plpmcmc.adapt import AdaptedSource, QStore, adapt
-from plpmcmc.bench import fig1, gen_bn, small_benchmarks
+from plpmcmc.bench import fig1, gen_bn, gen_grammar, small_benchmarks
 from plpmcmc.evaluator import EvalError, UnsatisfiableEvidence, initial_sample, sample_eval
 from plpmcmc.lang import Var, parse_goal, parse_program
 from plpmcmc.mcmc import (
@@ -39,7 +39,7 @@ from plpmcmc.mcmc import (
     resample,
     run_chain,
 )
-from plpmcmc.oracle import exact_conditional, iter_eval_leaves, prob
+from plpmcmc.oracle import exact_conditional, exact_conditional_worlds, iter_eval_leaves, prob
 
 DISJ = parse_program(
     """
@@ -264,6 +264,11 @@ for _case in small_benchmarks():
     ]
     if _case.name not in REDUCIBLE_SINGLE:
         STATIONARITY_CASES.append((f"{_case.name}-single", _problem, SingleSwitch(), None))
+# A second tier beyond the catalogue: a grid of 25 switches (128 states) and a
+# grammar of 42 states.
+for _case in (gen_bn(3, 3, 2, 0), gen_grammar(10, 2)):
+    _problem = (_case.program, _case.query, _case.evidence)
+    STATIONARITY_CASES.append((f"{_case.name}-multi", _problem, MultiSwitch(0.5), None))
 
 
 @pytest.mark.parametrize(
@@ -299,12 +304,13 @@ def test_kernel_is_exactly_stationary(label, problem, strategy, store_kind):
     for s in states:
         assert pi[s] == pytest.approx(weights[s] / z, abs=1e-9), label
 
-    # the induced query expectation matches the exact conditional
+    # the induced query expectation matches both exact routes
     expect_q = math.fsum(
         pi[s] for s in states if sample_eval(prog, query, dict(s), rng=None).success
     )
-    truth = exact_conditional(prog, query, evidence).p_conditional
-    assert expect_q == pytest.approx(truth, abs=1e-9)
+    for route in (exact_conditional, exact_conditional_worlds):
+        truth = route(prog, query, evidence).p_conditional
+        assert expect_q == pytest.approx(truth, abs=1e-9), route.__name__
 
 
 def test_chain_source_keeps_defensive_mass_on_trained_fig1_store():

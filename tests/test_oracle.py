@@ -25,7 +25,7 @@ from plpmcmc.oracle import (
     prob,
     world_universe,
 )
-from plpmcmc.bench import fig1, small_benchmarks
+from plpmcmc.bench import fig1, gen_bn, random_reach, small_benchmarks
 from test_mcmc import _digest
 
 TINY_DECLS = """
@@ -42,6 +42,7 @@ either :- msw(x, t).
 either :- msw(y, t).
 """
 )
+ROUTES = [exact_conditional, exact_conditional_worlds]
 
 
 def test_single_switch_probability():
@@ -120,11 +121,12 @@ def test_eval_leaves_are_deterministically_ordered():
     assert a == b
 
 
-def test_branch_limit(monkeypatch):
+@pytest.mark.parametrize("route", ROUTES)
+def test_branch_limit(route, monkeypatch):
     monkeypatch.setattr(oracle, "DEFAULT_BRANCH_LIMIT", 5)
     case = fig1()
     with pytest.raises(BranchLimitExceeded):
-        exact_conditional(case.program, case.evidence, "true")
+        route(case.program, case.evidence, "true")
 
 
 def test_unsatisfiable_evidence_is_an_error():
@@ -177,34 +179,34 @@ def test_holds_in_world():
     assert holds_in_world(TINY, "either", w_ft)
 
 
-def test_world_count_guard(monkeypatch):
-    # 2^20 worlds exceed DEFAULT_BRANCH_LIMIT; the count is checked before
-    # the first world is decided
-    def prove(*args):
-        raise AssertionError("a world was proved")
+def _proof_counter(monkeypatch):
+    """A list that receives the goal of every world proof."""
+    proofs = []
 
-    monkeypatch.setattr(oracle, "holds_in_world", prove)
+    def counting(*args):
+        proofs.append(args[1])
+        return holds_in_world(*args)
+
+    monkeypatch.setattr(oracle, "holds_in_world", counting)
+    return proofs
+
+
+def test_a_program_of_2_20_worlds_is_answered_from_its_reads(monkeypatch):
+    # 2^20 complete worlds, but the query reads one switch: two read paths
+    # of q and one of the evidence are proved
+    proofs = _proof_counter(monkeypatch)
     decls = "".join(
         f"values(s{k}, [t, f]).\n:- set_sw(s{k}, [0.5, 0.5]).\n" for k in range(20)
     )
     prog = parse_program(decls + "q :- msw(s0, t).\n")
-    with pytest.raises(BranchLimitExceeded, match="world count"):
-        exact_conditional_worlds(prog, "q", "true")
+    assert exact_conditional_worlds(prog, "q", "true").p_query == 0.5
+    assert len(proofs) == 3
 
 
-# The world route decides once each class of worlds that agree up to the
-# highest universe position a proof read, and proves each goal at most once
-# per read path; the tests below hold it to plain enumeration of every world.
-# Class and proof counts of every catalogue program (reach10s4 has 4096
+# The world route sums over the read paths of its own prover and proves each
+# goal once per read path; the tests below hold it to plain enumeration of
+# every world. Proof counts of every catalogue program (reach10s4 has 4096
 # complete worlds, chain10p6s16 1024):
-WORLD_CLASSES = {
-    "fig1": 33, "fig1rev": 33, "reach4s1": 11, "reach5s2": 91, "reach6s3": 115,
-    "reach10s4": 771, "bn1x1e0s5": 2, "bn2x1e1s6": 6, "bn1x3e1s7": 24,
-    "bn2x2e1s8": 240, "bn2x2e2s9": 92, "bn2x2e2s10": 240, "hamming2o1s11": 4,
-    "hamming3o2s12": 8, "hamming4o3s13": 16, "hamming4o2s14": 16,
-    "hamming3o1s15": 4, "grammar4l1": 8, "grammar4l2": 8, "grammar6l2": 24,
-    "grammar8l2": 79, "grammar8l3": 79, "chain10p6s16": 48, "chain8p5s17": 24,
-}
 WORLD_PROOFS = {
     "fig1": 26, "fig1rev": 26, "reach4s1": 13, "reach5s2": 38, "reach6s3": 54,
     "reach10s4": 345, "bn1x1e0s5": 3, "bn2x1e1s6": 6, "bn1x3e1s7": 12,
@@ -228,18 +230,12 @@ WORLD_STEP_NEEDS = {
 
 @pytest.mark.parametrize("case", small_benchmarks(), ids=lambda c: c.name)
 def test_world_classes_match_full_enumeration(case, monkeypatch):
-    proofs = []
-
-    def counting(*args):
-        proofs.append(args[1])
-        return holds_in_world(*args)
-
-    monkeypatch.setattr(oracle, "holds_in_world", counting)
+    proofs = _proof_counter(monkeypatch)
     res = exact_conditional_worlds(case.program, case.query, case.evidence)
     ref = _reference_sums(case.program, case.query, case.evidence)
     for got, want in zip((res.p_query, res.p_evidence, res.p_joint), ref):
         assert got == pytest.approx(want, abs=1e-12)
-    assert res.leaf_count == WORLD_CLASSES[case.name]
+    assert res.leaf_count == exact_conditional(case.program, case.query, case.evidence).leaf_count
     assert len(proofs) == WORLD_PROOFS[case.name]
 
 
@@ -255,8 +251,12 @@ def test_world_route_spends_the_steps_of_proofs_from_the_goal(case, monkeypatch)
     exact_conditional_worlds(case.program, case.query, case.evidence)
 
 
-def test_proofs_that_read_no_switch_prove_one_class():
-    assert exact_conditional_worlds(TINY, "true", "true").leaf_count == 1
+def test_proofs_that_read_no_switch_prove_one_class(monkeypatch):
+    # one leaf for the query, one for the evidence and one for the query
+    # below it, as in the tree route; each goal is proved once
+    proofs = _proof_counter(monkeypatch)
+    assert exact_conditional_worlds(TINY, "true", "true").leaf_count == 3
+    assert len(proofs) == 2
 
 
 def _random_program(draw):
@@ -371,12 +371,13 @@ def test_world_route_matches_the_tree_route_on_programs_with_arguments(data):
     for got, want, tree_got in zip(res[:3], ref, tree[:3]):
         assert got == pytest.approx(tree_got, abs=1e-12)
         assert got == pytest.approx(want, abs=1e-12)
+    assert res.leaf_count == tree.leaf_count
 
 
 def test_a_proof_that_raises_in_a_later_class_raises_in_the_same_world(monkeypatch):
-    # The evidence reads y in every world, so each world is its own class;
-    # in world (t, f) the query's trie decides q without a proof, and in
-    # (f, t) the query's new read path loops.
+    # The query's walk comes first: it proves q where x = t, then resumes
+    # that proof with x = f, where it loops; the other switches take their
+    # first outcome.
     prog = parse_program(TINY_DECLS + "loop :- loop.\nq :- msw(x, t).\nq :- loop.\n"
                          "e :- (msw(y, t) ; msw(y, f)).\n")
 
@@ -397,7 +398,7 @@ def test_a_proof_that_raises_in_a_later_class_raises_in_the_same_world(monkeypat
     monkeypatch.setattr(oracle, "holds_in_world", recording)
     with pytest.raises(StepLimitExceeded, match="step budget"):
         exact_conditional_worlds(prog, "q", "e")
-    assert proofs == [("q", "t", "t"), ("e", "t", "t"), ("e", "t", "f"), ("q", "f", "t")]
+    assert proofs == [("q", "t", "t"), ("q", "f", "t")]
     assert first_raising_world() == {("x", 0): "f", ("y", 0): "t"}
 
 
@@ -445,7 +446,6 @@ loopy :- occ(Y, Y).
 unb :- call1(G).
 """
 )
-ROUTES = [exact_conditional, exact_conditional_worlds]
 # a compound msw value matched against a pattern that binds a variable
 MSW_VALUE = parse_program(MSW_VALUE_TEXT)
 
@@ -480,4 +480,23 @@ def test_catalogue_tree_results_are_pinned():
 def test_catalogue_world_results_are_pinned():
     results = [(c.name, tuple(exact_conditional_worlds(c.program, c.query, c.evidence)))
                for c in small_benchmarks()]
-    assert _digest(results) == "114b4af75f308378"
+    assert _digest(results) == "d4bc324d84c9d470"
+
+
+# Beyond the catalogue: grids of 2^25 and 2^35 complete worlds and a graph
+# of 2^18, answered by both routes with the same leaves.
+@pytest.mark.parametrize(
+    ("make", "leaves"),
+    [
+        pytest.param(lambda: gen_bn(3, 3, 2, 0), 676, id="bn3x3e2"),
+        pytest.param(lambda: gen_bn(3, 4, 2, 0), 5188, id="bn3x4e2"),
+        pytest.param(lambda: random_reach(16, 5, 3), 10911, id="reach16s5"),
+    ],
+)
+def test_world_route_matches_the_tree_route_beyond_the_catalogue(make, leaves):
+    case = make()
+    worlds = exact_conditional_worlds(case.program, case.query, case.evidence)
+    tree = exact_conditional(case.program, case.query, case.evidence)
+    for got, want in zip(worlds[:4], tree[:4]):
+        assert got == pytest.approx(want, abs=1e-12)
+    assert worlds.leaf_count == tree.leaf_count == leaves
