@@ -1,28 +1,26 @@
 """Exact inference oracles used to validate every sampler estimate.
 
-Two deliberately independent routes:
+Two deliberately independent routes, each a depth-first walk of every
+goal's decision trie (PRISM's explanation search, Sato & Kameya 2001): a
+run is a deterministic function of the values its switch instances take at
+their first reads, so each route runs once per read path, resuming a new
+branch from the state its run kept where the branch leaves the trie
+(recomputation from a checkpoint, Schulte 1999).
 
-1. Evaluation-tree enumeration (`exact_conditional`): re-run the
-   first-derivation evaluator with a scripted outcome chooser and walk every
-   fresh-pick branch depth-first.  The evaluator's outputs are pairwise
-   mutually exclusive, so summing prob() over success leaves is exact, and
-   success + failure leaves together sum to 1.
+1. Evaluation-tree enumeration (`exact_conditional`): the first-derivation
+   evaluator's `run_first`, resumed from its checkpoints.  Its outputs are
+   pairwise mutually exclusive, so summing prob() over success leaves is
+   exact, and success + failure leaves together sum to 1.
 
-2. Complete-world summation (`exact_conditional_worlds`): sum over every
-   total assignment of the declared switches, deciding the goals with a
-   plain, substitution-based SLD prover that treats msw as a table lookup.
-   A proof is a deterministic function of the values it reads in first-read
-   order, so the worlds that agree with one of its read paths share its
-   answer, and their mass is the product of the path's probabilities.  The
-   route therefore walks each goal's tree of read paths depth-first,
-   proving each path once (PRISM's explanation search, Sato & Kameya 2001,
-   applied to the world prover), and never counts worlds.  A trie node
-   keeps the prover's state from before its key was first read, and the
-   walk resumes the proof of another value there (recomputation from a
-   checkpoint, Schulte 1999).  The prover skips clauses whose head's first
-   argument has another top functor than the call's.  Shares nothing with
-   the sampling engine beyond the term layer in `lang`: the term
-   representation and `unify`.
+2. Complete-world summation (`exact_conditional_worlds`): a plain,
+   substitution-based SLD prover that treats msw as a table lookup in a
+   complete world.  The worlds that agree with one of its read paths share
+   its answer, and their mass is the product of the path's probabilities,
+   so the route never counts worlds.  The prover skips clauses whose head's
+   first argument has another top functor than the call's, and binds a flat
+   head's variables to the call's arguments.  Shares nothing with the
+   sampling engine beyond the term layer in `lang`: the term representation
+   and `unify`.
 
 Both sum with math.fsum, so agreement to 1e-12 is meaningful.
 """
@@ -74,18 +72,20 @@ def _exact_result(q_terms, e_terms, qe_terms, leaf_count, evidence) -> ExactResu
 
 
 # ---------------------------------------------------------------------------
-# Oracle 1: exhaustive re-execution of the sampling evaluator
+# Oracle 1: the sampling evaluator's decision tree, resumed at its consults
 # ---------------------------------------------------------------------------
 
 
 def prob(assignment, prog: Program) -> float:
     """Product of the declared probabilities of an assignment's outcomes
-    (the mass of the worlds that agree with it); 1 for the empty one."""
+    (the mass of the worlds that agree with it); 1 for the empty one.
+    Raises ProgramError for a value that is not a declared outcome of its
+    switch, by type too: 1.0 and True are not the outcome 1."""
     p = 1.0
     for (s, _i), v in assignment.items():
         info = prog.switch_info(s)
         k = info.index.get(v)
-        if k is None:
+        if k is None or type(info.outcomes[k]) is not type(v):
             raise ProgramError(
                 f"outcome {term_to_str(v)} is not declared for switch {term_to_str(s)}"
             )
@@ -93,53 +93,81 @@ def prob(assignment, prog: Program) -> float:
     return p
 
 
-def iter_eval_leaves(prog: Program, goal, base):
-    """Yield (success, assignment) for every leaf of the evaluator's decision
-    tree rooted at `base`.  Deterministic left-to-right order.
+def _reads(path):
+    """The values of a linked (key, value, rest) path, last key first, as a
+    dict in path order."""
+    items = []
+    while path is not None:
+        key, value, path = path
+        items.append((key, value))
+    return dict(reversed(items))
 
-    Each leaf is produced by a full scripted re-run: the k-th fresh pick takes
-    the outcome index dictated by the current script (first outcome when the
-    script runs out), and the script odometer then advances depth-first.
-    Raises BranchLimitExceeded after DEFAULT_BRANCH_LIMIT leaves.
+
+def iter_eval_leaves(prog: Program, goal, base, trie=None):
+    """Yield (success, assignment) for every leaf of the evaluator's decision
+    tree rooted at `base`, depth-first, first outcome first.
+
+    `trie`, a dict the caller owns (fresh when omitted), holds one goal's
+    runs: the root under None, an internal node as [key, children by value,
+    checkpoint or None, step count at the key's first consult], a leaf as
+    the run's answer.  At a key in `base` the walk follows that value, at
+    any other it takes every outcome.  A missing branch runs `run_first`
+    once, resumed from the checkpoint of the node above it (from the goal in
+    an empty trie), and inserts its new consults; a node drops its
+    checkpoint once every outcome has a child.  Raises ProgramError for a
+    `base` value `prob` refuses, and BranchLimitExceeded after
+    DEFAULT_BRANCH_LIMIT leaves.
     """
     if not is_ground(goal):
         raise EvalError(f"goal must be ground: {term_to_str(goal)}")
-    switch_info = prog.switch_info
-    script = []
+    prob(base, prog)  # children are keyed by value, where 1.0 would find 1
+    stack = [({} if trie is None else trie, None, None, None)]  # children, value, above, path
     leaves = 0
-    while True:
-        log = []  # (chosen index, number of outcomes) per fresh pick
-
-        def picker(key):
-            j = len(log)
-            idx = script[j] if j < len(script) else 0
-            info = switch_info(key[0])
-            if idx >= len(info.outcomes):
-                raise AssertionError("scripted pick out of range")
-            log.append((idx, len(info.outcomes)))
-            return info.outcomes[idx]
-
-        ok, sigma, _trace = run_first(prog, goal, base, picker)
-        leaves += 1
-        if leaves > DEFAULT_BRANCH_LIMIT:
-            raise BranchLimitExceeded(
-                f"evaluation tree for {term_to_str(goal)} exceeds {DEFAULT_BRANCH_LIMIT} leaves"
+    while stack:
+        children, value, above, path = frame = stack.pop()
+        node = children.get(value)
+        if node is None:
+            resume = None
+            if above is not None:
+                _key, _children, ck, steps = above
+                resume = (_reads(path), [], steps - 1, ck[0], ck[1], ck[2], ck[4])
+            checkpoints, steps_out = [], []
+            ok, sigma, _trace = run_first(
+                prog, goal, base, lambda key: prog.switch_info(key[0]).outcomes[0],
+                steps_out=steps_out, checkpoints=checkpoints, resume=resume,
             )
-        yield ok, sigma
-        # advance the odometer to the next unexplored branch
-        while log and log[-1][0] == log[-1][1] - 1:
-            log.pop()
-        if not log:
-            return
-        script = [idx for idx, _n in log[:-1]] + [log[-1][0] + 1]
+            new = list(sigma.items())[len(sigma) - len(checkpoints):]
+            for (key, v), ck, steps in zip(new, checkpoints, steps_out):
+                node = children[value] = [key, {}, ck, steps]
+                children, value = node[1], v
+            children[value] = ok
+            if above is not None and len(above[1]) == len(prog.switch_info(above[0][0]).outcomes):
+                above[2] = None
+            stack.append(frame)
+        elif type(node) is bool:
+            leaves += 1
+            if leaves > DEFAULT_BRANCH_LIMIT:
+                raise BranchLimitExceeded(f"evaluation tree for {term_to_str(goal)} exceeds "
+                                          f"{DEFAULT_BRANCH_LIMIT} leaves")
+            yield node, _reads(path)
+        else:
+            key, children = node[0], node[1]
+            v = base.get(key)
+            if v is not None:
+                stack.append((children, v, node, (key, v, path)))
+            else:
+                for v in reversed(prog.switch_info(key[0]).outcomes):
+                    stack.append((children, v, node, (key, v, path)))
 
 
 def exact_conditional(prog: Program, query, evidence) -> ExactResult:
     """Exact ExactResult for cond(query | evidence).
 
     The joint explores evidence first, then continues the query enumeration
-    from each evidence-success leaf so shared switches stay shared.
+    from each evidence-success leaf so shared switches stay shared.  All the
+    query's walks share one trie, so each of its consult paths runs once.
     """
+    q_trie = {}
     p_e_terms = []
     p_joint_terms = []
     leaf_count = 0
@@ -148,14 +176,12 @@ def exact_conditional(prog: Program, query, evidence) -> ExactResult:
         if not ok_e:
             continue
         p_e_terms.append(prob(sig_e, prog))
-        for ok_q, sig_q in iter_eval_leaves(prog, query, sig_e):
+        for ok_q, sig_q in iter_eval_leaves(prog, query, sig_e, q_trie):
             leaf_count += 1
             if ok_q:
-                union = dict(sig_e)
-                union.update(sig_q)
-                p_joint_terms.append(prob(union, prog))
+                p_joint_terms.append(prob({**sig_e, **sig_q}, prog))
     p_query_terms = []
-    for ok_q, sig_q in iter_eval_leaves(prog, query, {}):
+    for ok_q, sig_q in iter_eval_leaves(prog, query, {}, q_trie):
         leaf_count += 1
         if ok_q:
             p_query_terms.append(prob(sig_q, prog))
@@ -221,15 +247,17 @@ def _first_key(t, theta):
 
 
 def _world_code(prog: Program):
-    """Per-predicate (head, head is ground, reversed body as (goal, goal is
+    """Per-predicate (head, head is ground, the head's arguments when they
+    are distinct variables else None, reversed body as (goal, goal is
     ground) pairs, head's `_first_key`) for each clause, cached on the
     program until `Program.add_clause` clears it.  A ground term is used as
-    it stands, so only terms with variables are renamed apart."""
+    it stands, so only terms with variables are renamed apart, and the
+    variables of a flat head stand for the call's arguments themselves."""
     code = prog._world_code
     if code is None:
         code = {
             key: [
-                (c.head, is_ground(c.head),
+                (c.head, is_ground(c.head), _flat_args(c.head),
                  tuple((b, is_ground(b)) for b in reversed(c.body)),
                  _first_key(c.head, {}))
                 for c in clauses
@@ -238,6 +266,13 @@ def _world_code(prog: Program):
         }
         prog._world_code = code
     return code
+
+
+def _flat_args(head):
+    """A compound head's arguments if they are distinct variables, else None."""
+    args = head[1:] if type(head) is tuple else ()
+    distinct = len(set(args)) == len(args) and all(isinstance(a, Var) for a in args)
+    return args if args and distinct else None
 
 
 def holds_in_world(prog: Program, goal, world, read=None, marks=None, start=None) -> bool:
@@ -314,11 +349,14 @@ def holds_in_world(prog: Program, goal, world, read=None, marks=None, start=None
             if clauses is None:
                 raise EvalError(f"unknown predicate {key[0]}/{key[1]}")
             first = _first_key(g, theta)
-            for head, head_ground, body, head_first in reversed(clauses):
+            for head, head_ground, params, body, head_first in reversed(clauses):
                 if first is not None and head_first is not None and head_first != first:
                     continue
-                mapping = {}
-                theta2 = unify(g, head if head_ground else _rename(head, mapping), theta)
+                if params is None:
+                    mapping = {}
+                    theta2 = unify(g, head if head_ground else _rename(head, mapping), theta)
+                else:  # a flat head's variables stand for the call's arguments
+                    mapping, theta2 = dict(zip(params, g[1:])), theta
                 if theta2 is not None:
                     rest = goals
                     for b, b_ground in body:
@@ -330,15 +368,6 @@ def holds_in_world(prog: Program, goal, world, read=None, marks=None, start=None
         if stack is None:
             return False
         (goals, theta), stack = stack
-
-
-def _reads(path):
-    """The reads of a linked (key, value, rest) path, as a dict."""
-    read = {}
-    while path is not None:
-        key, value, path = path
-        read[key] = value
-    return read
 
 
 def _leaves(trie, prog, goal, fixed, default):

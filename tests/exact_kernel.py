@@ -38,14 +38,17 @@ def leaf_weight(prog, source, base, leaf, held=None, p=1.0):
 
 def leaf_lists(prog):
     """leaves(goal, base): the list of `iter_eval_leaves(prog, goal, base)`,
-    walked once per (goal, base) for the life of the returned function."""
+    walked once per (goal, base) for the life of the returned function, on
+    one trie per goal, so each consult path runs once."""
     cache = {}
+    tries = {}
 
     def leaves(goal, base):
         key = (goal, frozenset(base.items()))
         out = cache.get(key)
         if out is None:
-            out = cache[key] = list(iter_eval_leaves(prog, goal, dict(base)))
+            trie = tries.setdefault(goal, {})
+            out = cache[key] = list(iter_eval_leaves(prog, goal, dict(base), trie))
         return out
 
     return leaves

@@ -4,7 +4,7 @@ import functools
 import gc
 import hashlib
 import random
-import time
+import tracemalloc
 
 import pytest
 from hypothesis import given, settings
@@ -735,19 +735,20 @@ def _walk_program(n):
 
 def test_checkpoints_cost_no_more_as_the_choicepoint_stack_grows():
     # every element is a first consult and leaves a choicepoint, so a
-    # checkpoint that copied the choicepoints would make the run quadratic;
-    # the sizes alternate and the collector is off, so that both sizes are
-    # timed under the same machine load
-    best = {1600: float("inf"), 3200: float("inf")}
-    for _ in range(9):
-        for n in best:
-            prog = _walk_program(n)
-            gc.disable()
-            try:
-                start = time.perf_counter()
-                res = sample_eval(prog, "q", {}, rng=random.Random(0))
-                best[n] = min(best[n], time.perf_counter() - start)
-            finally:
-                gc.enable()
-            assert res.success and len(res.trace) == n
-    assert best[3200] / best[1600] <= 2.3
+    # checkpoint that copied the choicepoints would make the run's memory
+    # quadratic; the program is compiled first and the free lists emptied,
+    # so the peak counts every object the run makes and nothing else
+    peak = {}
+    for n in (1600, 3200):
+        prog = _walk_program(n)
+        sample_eval(prog, "true", {})
+        gc.collect()
+        tracemalloc.start()
+        try:
+            start = tracemalloc.get_traced_memory()[0]
+            res = sample_eval(prog, "q", {}, rng=random.Random(0))
+            peak[n] = tracemalloc.get_traced_memory()[1] - start
+        finally:
+            tracemalloc.stop()
+        assert res.success and len(res.trace) == n
+    assert peak[3200] / peak[1600] <= 2.3

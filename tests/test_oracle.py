@@ -5,6 +5,7 @@ here assert their agreement so that either one can vouch for sampler
 estimates elsewhere.
 """
 
+import functools
 import itertools
 import math
 
@@ -14,8 +15,8 @@ from hypothesis import strategies as st
 
 from helpers import MSW_VALUE_TEXT, mutually_exclusive
 from plpmcmc import oracle
-from plpmcmc.evaluator import EvalError, StepLimitExceeded
-from plpmcmc.lang import parse_goal, parse_program
+from plpmcmc.evaluator import DEFAULT_STEP_LIMIT, EvalError, StepLimitExceeded, run_first
+from plpmcmc.lang import PlpError, ProgramError, parse_goal, parse_program
 from plpmcmc.oracle import (
     BranchLimitExceeded,
     exact_conditional,
@@ -119,6 +120,114 @@ def test_eval_leaves_are_deterministically_ordered():
     a = [(ok, dict(s)) for ok, s in iter_eval_leaves(TINY, "either", {})]
     b = [(ok, dict(s)) for ok, s in iter_eval_leaves(TINY, "either", {})]
     assert a == b
+
+
+def _rerun_leaves(prog, goal, base, step_limit=DEFAULT_STEP_LIMIT):
+    """Reference for `iter_eval_leaves`: each leaf by a full scripted re-run
+    of `run_first` from the goal, the k-th fresh pick taking the outcome the
+    script dictates (the first when it runs out), and the script advanced as
+    an odometer, depth-first."""
+    script = []
+    while True:
+        log = []  # (chosen index, number of outcomes) per fresh pick
+
+        def picker(key):
+            outcomes = prog.switch_info(key[0]).outcomes
+            idx = script[len(log)] if len(log) < len(script) else 0
+            log.append((idx, len(outcomes)))
+            return outcomes[idx]
+
+        ok, sigma, _trace = run_first(prog, goal, base, picker, step_limit)
+        yield ok, sigma
+        while log and log[-1][0] == log[-1][1] - 1:
+            log.pop()
+        if not log:
+            return
+        script = [idx for idx, _n in log[:-1]] + [log[-1][0] + 1]
+
+
+def _listed(leaves):
+    """A walk's leaves as (success, items in dict order), and the type of
+    the error that ended it, if any."""
+    out = []
+    try:
+        for ok, sigma in leaves:
+            out.append((ok, list(sigma.items())))
+    except PlpError as exc:
+        return out, type(exc)
+    return out, None
+
+
+def _tree_route_walks(prog, query, evidence):
+    """Each (goal, base) that `exact_conditional` walks, in its order."""
+    e_leaves, _error = _listed(_rerun_leaves(prog, evidence, {}))
+    return ([(evidence, {})] + [(query, dict(sigma)) for ok, sigma in e_leaves if ok]
+            + [(query, {})])
+
+
+def _check_walker(prog, query, evidence):
+    """Hold `iter_eval_leaves` to the re-running reference on every walk of
+    the tree route, leaf by leaf, with a fresh trie and with one trie per
+    goal shared across the walks."""
+    tries = {}
+    for goal, base in _tree_route_walks(prog, query, evidence):
+        want = _listed(_rerun_leaves(prog, goal, base))
+        assert _listed(iter_eval_leaves(prog, goal, base)) == want
+        assert _listed(iter_eval_leaves(prog, goal, base, tries.setdefault(goal, {}))) == want
+
+
+@pytest.mark.parametrize("case", small_benchmarks(), ids=lambda c: c.name)
+def test_walker_matches_the_rerunning_reference_on_the_catalogue(case, monkeypatch):
+    # and runs once per read path: as many runs as the world route's proofs
+    runs = []
+
+    def counting(*args, **kwargs):
+        runs.append(args[1])
+        return run_first(*args, **kwargs)
+
+    monkeypatch.setattr(oracle, "run_first", counting)
+    _check_walker(case.program, case.query, case.evidence)
+    runs.clear()
+    exact_conditional(case.program, case.query, case.evidence)
+    assert len(runs) == WORLD_PROOFS[case.name]
+
+
+def test_walker_raises_where_the_reference_does():
+    # x = t reads y and succeeds or fails; x = f calls an unknown predicate
+    prog = parse_program(TINY_DECLS + "q :- msw(x, t), msw(y, t).\nq :- msw(x, f), nope.\n")
+    want = _listed(_rerun_leaves(prog, "q", {}))
+    assert want == ([(True, [(("x", 0), "t"), (("y", 0), "t")]),
+                     (False, [(("x", 0), "t"), (("y", 0), "f")])], EvalError)
+    trie = {}
+    assert _listed(iter_eval_leaves(prog, "q", {}, trie)) == want
+    assert _listed(iter_eval_leaves(prog, "q", {}, trie)) == want
+
+
+def test_resumed_runs_spend_the_steps_of_runs_from_the_goal(monkeypatch):
+    # a run of fig1's evidence takes up to 33 steps from the goal; under any
+    # lower budget the walk raises after the reference's leaves
+    case = fig1()
+    prog, goal = case.program, case.evidence
+    assert len(_listed(_rerun_leaves(prog, goal, {}, 33))[0]) == 13
+    assert _listed(_rerun_leaves(prog, goal, {}, 32))[1] is StepLimitExceeded
+    for limit in range(1, 34):
+        monkeypatch.setattr(oracle, "run_first", functools.partial(run_first, step_limit=limit))
+        want = _listed(_rerun_leaves(prog, goal, {}, limit))
+        assert _listed(iter_eval_leaves(prog, goal, {})) == want, limit
+
+
+@pytest.mark.parametrize("value", [1.0, True, 2])
+def test_walker_refuses_a_base_value_that_is_not_a_declared_outcome(value):
+    # trie children are keyed by value, and 1.0 and True hash like 1, but
+    # the msw match is type-strict: the run of 1 is not the run of 1.0
+    prog = parse_program("values(b, [0, 1]).\n:- set_sw(b, [0.5, 0.5]).\nq :- msw(b, 1).\n")
+    trie = {}
+    assert _listed(iter_eval_leaves(prog, "q", {("b", 0): 1}, trie)) == (
+        [(True, [(("b", 0), 1)])], None)
+    with pytest.raises(ProgramError, match="not declared for switch b"):
+        next(iter_eval_leaves(prog, "q", {("b", 0): value}, trie))
+    with pytest.raises(ProgramError, match="not declared for switch b"):
+        prob({("b", 0): value}, prog)
 
 
 @pytest.mark.parametrize("route", ROUTES)
@@ -347,9 +456,9 @@ def _random_arg_program(draw):
     return parse_program("\n".join(lines)), arity
 
 
-@settings(max_examples=150, deadline=None)
-@given(st.data())
-def test_world_route_matches_the_tree_route_on_programs_with_arguments(data):
+def _random_arg_problem(data):
+    """A `_random_arg_program` with a ground query and evidence of its
+    predicates (or `true` evidence)."""
     prog, arity = _random_arg_program(data.draw)
 
     def ground_goal():
@@ -360,6 +469,13 @@ def test_world_route_matches_the_tree_route_on_programs_with_arguments(data):
 
     query = ground_goal()
     evidence = data.draw(st.one_of(st.just("true"), st.builds(ground_goal)), label="evidence")
+    return prog, query, evidence
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.data())
+def test_world_route_matches_the_tree_route_on_programs_with_arguments(data):
+    prog, query, evidence = _random_arg_problem(data)
     ref = _reference_sums(prog, query, evidence)
     if ref[1] == 0.0:
         for route in ROUTES:
@@ -372,6 +488,13 @@ def test_world_route_matches_the_tree_route_on_programs_with_arguments(data):
         assert got == pytest.approx(tree_got, abs=1e-12)
         assert got == pytest.approx(want, abs=1e-12)
     assert res.leaf_count == tree.leaf_count
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.data())
+def test_walker_matches_the_rerunning_reference_on_programs_with_arguments(data):
+    prog, query, evidence = _random_arg_problem(data)
+    _check_walker(prog, query, evidence)
 
 
 def test_a_proof_that_raises_in_a_later_class_raises_in_the_same_world(monkeypatch):
@@ -448,6 +571,23 @@ unb :- call1(G).
 )
 # a compound msw value matched against a pattern that binds a variable
 MSW_VALUE = parse_program(MSW_VALUE_TEXT)
+# Heads whose arguments are distinct variables, called with an unbound
+# variable (u), a compound (c) and one variable in two places (r).
+FLAT = parse_program(
+    """
+values(x, [t, f]).
+values(y, [t, f]).
+:- set_sw(x, [0.3, 0.7]).
+:- set_sw(y, [0.6, 0.4]).
+sw(S, V) :- msw(S, V).
+u :- sw(x, V), sw(y, V).
+wrap(A, B) :- open(A, B).
+open(f(X), g(X)) :- msw(x, X).
+c :- wrap(f(t), g(V)), msw(y, V).
+both(A, B) :- msw(x, A), msw(y, B).
+r :- both(X, X).
+"""
+)
 
 
 @pytest.mark.parametrize(
@@ -458,6 +598,9 @@ MSW_VALUE = parse_program(MSW_VALUE_TEXT)
         pytest.param(CALLS, "d", "e", 0.25, id="d-e-0.25"),
         pytest.param(CALLS, "loopy", "true", 0.0, id="loopy-true-0.0"),
         pytest.param(MSW_VALUE, "q", "e", 0.375, id="msw-value-q-e-0.375"),
+        pytest.param(FLAT, "u", "true", 0.46, id="flat-unbound-u-true-0.46"),
+        pytest.param(FLAT, "c", "true", 0.18, id="flat-compound-c-true-0.18"),
+        pytest.param(FLAT, "r", parse_goal("sw(x, f)"), 0.4, id="flat-shared-var-r-x-f-0.4"),
     ],
 )
 @pytest.mark.parametrize("route", ROUTES)
