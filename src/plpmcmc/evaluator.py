@@ -37,8 +37,8 @@ leaves the trie.  The trie depends neither on the assignment nor on any
 probabilities, so plain and adaptive chains and the independent sampler all
 share it; it is cached beside the compiled clause tables, cleared with them
 by `Program.add_clause`, and cleared when it reaches `MEMO_NODE_CAP` nodes.
-The tree oracle calls `run_first` directly, from the goal, and never reads
-it.
+The tree oracle calls `run_first` directly, resumed from the checkpoints of
+its own per-call trie, and never reads this one.
 
 Assignments: an assignment is a plain dict `{(switch, instance): outcome}`
 whose keys and values are ground terms.  It stands for the set of possible

@@ -1,10 +1,10 @@
 """Exact inference oracles used to validate every sampler estimate.
 
-Two deliberately independent routes, each a depth-first walk of every
-goal's decision trie (PRISM's explanation search, Sato & Kameya 2001): a
-run is a deterministic function of the values its switch instances take at
-their first reads, so each route runs once per read path, resuming a new
-branch from the state its run kept where the branch leaves the trie
+Two deliberately independent provers share one walk, `_walk`, of a goal's
+decision trie (PRISM's explanation search, Sato & Kameya 2001): a proof is
+a deterministic function of the values its switch instances take at their
+first reads, so each route proves once per read path, resuming a new branch
+from the state its prover kept where the branch leaves the trie
 (recomputation from a checkpoint, Schulte 1999).
 
 1. Evaluation-tree enumeration (`exact_conditional`): the first-derivation
@@ -14,13 +14,13 @@ branch from the state its run kept where the branch leaves the trie
 
 2. Complete-world summation (`exact_conditional_worlds`): a plain,
    substitution-based SLD prover that treats msw as a table lookup in a
-   complete world.  The worlds that agree with one of its read paths share
-   its answer, and their mass is the product of the path's probabilities,
-   so the route never counts worlds.  The prover skips clauses whose head's
-   first argument has another top functor than the call's, and binds a flat
-   head's variables to the call's arguments.  Shares nothing with the
-   sampling engine beyond the term layer in `lang`: the term representation
-   and `unify`.
+   complete world, resumed from its snapshots.  The worlds that agree with
+   one of its read paths share its answer, and their mass is the product of
+   the path's probabilities, so the route never counts worlds.  The prover
+   skips clauses whose head's first argument has another top functor than
+   the call's, and binds a flat head's variables to the call's arguments.
+   Shares nothing with the sampling engine beyond the term layer in `lang`:
+   the term representation and `unify`.
 
 Both sum with math.fsum, so agreement to 1e-12 is meaningful.
 """
@@ -48,7 +48,7 @@ WORLD_STEP_LIMIT = 200000
 
 
 class BranchLimitExceeded(PlpError):
-    """A walk of the evaluation tree or of a goal's read tree has more than
+    """A walk of a goal's decision trie (`_walk`) has more than
     DEFAULT_BRANCH_LIMIT leaves."""
 
 
@@ -69,6 +69,69 @@ def _exact_result(q_terms, e_terms, qe_terms, leaf_count, evidence) -> ExactResu
     p_joint = math.fsum(qe_terms)
     return ExactResult(math.fsum(q_terms), p_evidence, p_joint, p_joint / p_evidence,
                        leaf_count)
+
+
+def _reads(path):
+    """The values of a linked (key, value, rest) path, last key first, as a
+    dict in path order."""
+    items = []
+    while path is not None:
+        key, value, path = path
+        items.append((key, value))
+    return dict(reversed(items))
+
+
+def _walk(trie, prog: Program, goal, fixed, extend):
+    """Yield (answer, mass, path) for each leaf of `goal`'s decision trie
+    that agrees with `fixed`, depth-first, first outcome first.
+
+    `trie`, a dict, holds the goal's proofs as read paths: its root is
+    stored under None, an internal node is [key, children by the key's
+    value, the prover's state from before the key's first read or None],
+    and a leaf is the proof's answer.  At a key in `fixed` the walk follows
+    that value with weight 1; at any other it takes every outcome, weighted
+    by its declared probability.  `path` is the leaf's reads as a linked
+    (key, value, rest) list, last read first, and `mass` the product of its
+    weights from 1.0 in read order.  A missing branch calls `extend(state,
+    path)` once, with the state of the node above it (None in an empty
+    trie): it runs the route's prover from there and returns its answer and
+    its new reads as (key, value, state) triples, which are inserted below
+    and walked, so each read path is proved once per trie.  A node drops its
+    state once every outcome has a child.  Raises EvalError for a goal that
+    is not ground, and BranchLimitExceeded after DEFAULT_BRANCH_LIMIT leaves.
+    """
+    if not is_ground(goal):
+        raise EvalError(f"goal must be ground: {term_to_str(goal)}")
+    stack = [(trie, None, None, 1.0, None)]  # children, value, node above, mass, path
+    del trie  # so a private trie is freed subtree by subtree
+    leaves = 0
+    while stack:
+        children, value, above, mass, path = frame = stack.pop()
+        node = children.get(value)
+        if node is None:
+            ok, new = extend(None if above is None else above[2], path)
+            for key, v, state in new:
+                node = children[value] = [key, {}, state]
+                children, value = node[1], v
+            children[value] = ok
+            if above is not None and len(above[1]) == len(prog.switch_info(above[0][0]).outcomes):
+                above[2] = None
+            stack.append(frame)
+        elif type(node) is bool:
+            leaves += 1
+            if leaves > DEFAULT_BRANCH_LIMIT:
+                raise BranchLimitExceeded(f"decision trie of {term_to_str(goal)} exceeds "
+                                          f"{DEFAULT_BRANCH_LIMIT} leaves")
+            yield node, mass, path
+        else:
+            key, children = node[0], node[1]
+            v = fixed.get(key)
+            if v is not None:
+                stack.append((children, v, node, mass, (key, v, path)))
+            else:
+                info = prog.switch_info(key[0])
+                for v, p in zip(reversed(info.outcomes), reversed(info.probs)):
+                    stack.append((children, v, node, mass * p, (key, v, path)))
 
 
 # ---------------------------------------------------------------------------
@@ -93,71 +156,34 @@ def prob(assignment, prog: Program) -> float:
     return p
 
 
-def _reads(path):
-    """The values of a linked (key, value, rest) path, last key first, as a
-    dict in path order."""
-    items = []
-    while path is not None:
-        key, value, path = path
-        items.append((key, value))
-    return dict(reversed(items))
+def _tree_walk(trie, prog: Program, goal, base):
+    """`_walk` over the evaluator's runs of `goal` on `base`.  A node's state
+    is `run_first`'s checkpoint at the key's first consult, with the step
+    count there appended; a missing branch resumes the run from it, or runs
+    it from the goal in an empty trie."""
+    def extend(ck, path):
+        resume = None if ck is None else (_reads(path), [], ck[5] - 1, ck[0], ck[1], ck[2], ck[4])
+        checkpoints, steps_out = [], []
+        ok, sigma, _trace = run_first(
+            prog, goal, base, lambda key: prog.switch_info(key[0]).outcomes[0],
+            steps_out=steps_out, checkpoints=checkpoints, resume=resume,
+        )
+        new = list(sigma.items())[len(sigma) - len(checkpoints):]
+        for c, steps in zip(checkpoints, steps_out):
+            c.append(steps)
+        return ok, [(key, v, c) for (key, v), c in zip(new, checkpoints)]
+
+    return _walk(trie, prog, goal, base, extend)
 
 
 def iter_eval_leaves(prog: Program, goal, base, trie=None):
     """Yield (success, assignment) for every leaf of the evaluator's decision
-    tree rooted at `base`, depth-first, first outcome first.
-
-    `trie`, a dict the caller owns (fresh when omitted), holds one goal's
-    runs: the root under None, an internal node as [key, children by value,
-    checkpoint or None, step count at the key's first consult], a leaf as
-    the run's answer.  At a key in `base` the walk follows that value, at
-    any other it takes every outcome.  A missing branch runs `run_first`
-    once, resumed from the checkpoint of the node above it (from the goal in
-    an empty trie), and inserts its new consults; a node drops its
-    checkpoint once every outcome has a child.  Raises ProgramError for a
-    `base` value `prob` refuses, and BranchLimitExceeded after
-    DEFAULT_BRANCH_LIMIT leaves.
-    """
-    if not is_ground(goal):
-        raise EvalError(f"goal must be ground: {term_to_str(goal)}")
+    tree rooted at `base`, depth-first, first outcome first (`_tree_walk`),
+    in `trie`, a dict of one goal's runs the caller owns (fresh when
+    omitted).  Raises ProgramError for a `base` value `prob` refuses."""
     prob(base, prog)  # children are keyed by value, where 1.0 would find 1
-    stack = [({} if trie is None else trie, None, None, None)]  # children, value, above, path
-    leaves = 0
-    while stack:
-        children, value, above, path = frame = stack.pop()
-        node = children.get(value)
-        if node is None:
-            resume = None
-            if above is not None:
-                _key, _children, ck, steps = above
-                resume = (_reads(path), [], steps - 1, ck[0], ck[1], ck[2], ck[4])
-            checkpoints, steps_out = [], []
-            ok, sigma, _trace = run_first(
-                prog, goal, base, lambda key: prog.switch_info(key[0]).outcomes[0],
-                steps_out=steps_out, checkpoints=checkpoints, resume=resume,
-            )
-            new = list(sigma.items())[len(sigma) - len(checkpoints):]
-            for (key, v), ck, steps in zip(new, checkpoints, steps_out):
-                node = children[value] = [key, {}, ck, steps]
-                children, value = node[1], v
-            children[value] = ok
-            if above is not None and len(above[1]) == len(prog.switch_info(above[0][0]).outcomes):
-                above[2] = None
-            stack.append(frame)
-        elif type(node) is bool:
-            leaves += 1
-            if leaves > DEFAULT_BRANCH_LIMIT:
-                raise BranchLimitExceeded(f"evaluation tree for {term_to_str(goal)} exceeds "
-                                          f"{DEFAULT_BRANCH_LIMIT} leaves")
-            yield node, _reads(path)
-        else:
-            key, children = node[0], node[1]
-            v = base.get(key)
-            if v is not None:
-                stack.append((children, v, node, (key, v, path)))
-            else:
-                for v in reversed(prog.switch_info(key[0]).outcomes):
-                    stack.append((children, v, node, (key, v, path)))
+    for ok, _mass, path in _tree_walk({} if trie is None else trie, prog, goal, base):
+        yield ok, _reads(path)
 
 
 def exact_conditional(prog: Program, query, evidence) -> ExactResult:
@@ -166,25 +192,28 @@ def exact_conditional(prog: Program, query, evidence) -> ExactResult:
     The joint explores evidence first, then continues the query enumeration
     from each evidence-success leaf so shared switches stay shared.  All the
     query's walks share one trie, so each of its consult paths runs once.
+    An evidence or query term is its leaf's mass, which is `prob` of its
+    assignment, and a joint term `prob` of the two assignments merged.
     """
     q_trie = {}
     p_e_terms = []
     p_joint_terms = []
     leaf_count = 0
-    for ok_e, sig_e in iter_eval_leaves(prog, evidence, {}):
+    for ok_e, mass_e, path in _tree_walk({}, prog, evidence, {}):
         leaf_count += 1
         if not ok_e:
             continue
-        p_e_terms.append(prob(sig_e, prog))
+        p_e_terms.append(mass_e)
+        sig_e = _reads(path)
         for ok_q, sig_q in iter_eval_leaves(prog, query, sig_e, q_trie):
             leaf_count += 1
             if ok_q:
                 p_joint_terms.append(prob({**sig_e, **sig_q}, prog))
     p_query_terms = []
-    for ok_q, sig_q in iter_eval_leaves(prog, query, {}, q_trie):
+    for ok_q, mass_q, _path in _tree_walk(q_trie, prog, query, {}):
         leaf_count += 1
         if ok_q:
-            p_query_terms.append(prob(sig_q, prog))
+            p_query_terms.append(mass_q)
     return _exact_result(p_query_terms, p_e_terms, p_joint_terms, leaf_count, evidence)
 
 
@@ -370,60 +399,26 @@ def holds_in_world(prog: Program, goal, world, read=None, marks=None, start=None
         (goals, theta), stack = stack
 
 
-def _leaves(trie, prog, goal, fixed, default):
-    """Yield (holds, mass, path) for each leaf of `goal`'s read tree that
-    agrees with `fixed`, depth-first, first outcome first.
+def _world_walk(trie, prog: Program, goal, fixed, default, keys):
+    """`_walk` over the world prover's proofs of `goal`.  A node's state is
+    the prover's snapshot from before the key's first read; a missing branch
+    resumes `holds_in_world` from it (from the goal in an empty trie), in
+    the world `default` overridden by `fixed` and the path's reads: the
+    proof agrees with the node's proof on every earlier read, so this is the
+    proof from the goal, step for step.  A node keeps the program's key from
+    `keys` (each world key to itself), not each proof's fresh copy of it."""
+    def extend(start, path):
+        read = _reads(path)
+        marks = {}
+        ok = holds_in_world(prog, goal, {**default, **fixed, **read}, read, marks, start)
+        return ok, [(keys[key], read[key], snapshot) for key, snapshot in marks.items()]
 
-    `trie` holds the goal's proofs as read paths: its root is stored under
-    None, an internal node is (key, children by the key's value, the
-    prover's snapshot from before the key's first read), and a leaf is the
-    proof's answer.  At a key in `fixed` the walk follows that value with
-    weight 1; at any other it takes every outcome, weighted by its declared
-    probability.  `path` is the leaf's reads as a linked (key, value, rest)
-    list, last read first.  A missing branch runs `holds_in_world` once,
-    resumed from the snapshot of the node above it (from the goal in an
-    empty trie), in the world `default` overridden by `fixed` and the
-    path's reads: the proof agrees with the node's proof on every earlier
-    read, so this is the proof from the goal, step for step.  Its new reads
-    are inserted below with their snapshots and the walk goes on there, so
-    each read path is proved once per trie.  Raises BranchLimitExceeded
-    after DEFAULT_BRANCH_LIMIT leaves.
-    """
-    stack = [(trie, None, None, 1.0, None)]
-    leaves = 0
-    while stack:
-        children, value, start, mass, path = frame = stack.pop()
-        node = children.get(value)
-        if node is None:
-            read = _reads(path)
-            marks = {}
-            ok = holds_in_world(prog, goal, {**default, **fixed, **read}, read, marks, start)
-            for key, snapshot in marks.items():
-                node = children[value] = (key, {}, snapshot)
-                children, value = node[1], read[key]
-            children[value] = ok
-            stack.append(frame)
-        elif type(node) is bool:
-            leaves += 1
-            if leaves > DEFAULT_BRANCH_LIMIT:
-                raise BranchLimitExceeded(
-                    f"read tree of {term_to_str(goal)} exceeds {DEFAULT_BRANCH_LIMIT} leaves"
-                )
-            yield node, mass, path
-        else:
-            key, children, start = node
-            v = fixed.get(key)
-            if v is not None:
-                stack.append((children, v, start, mass, (key, v, path)))
-            else:
-                info = prog.switch_info(key[0])
-                for v, p in zip(reversed(info.outcomes), reversed(info.probs)):
-                    stack.append((children, v, start, mass * p, (key, v, path)))
+    return _walk(trie, prog, goal, fixed, extend)
 
 
 def exact_conditional_worlds(prog: Program, query, evidence) -> ExactResult:
     """Exact ExactResult for cond(query | evidence) by summing over complete
-    worlds, grouped by the read paths of the world prover (`_leaves`).
+    worlds, grouped by the read paths of the world prover (`_world_walk`).
 
     Each goal keeps one read trie for the call.  The query's leaves are
     summed first, which fills its trie; then the evidence's, and below each
@@ -432,22 +427,23 @@ def exact_conditional_worlds(prog: Program, query, evidence) -> ExactResult:
     raises ends the call.  `leaf_count` is the number of leaves summed,
     which is the tree route's.
     """
-    default = {key: prog.switch_info(key[0]).outcomes[0] for key in world_universe(prog)}
+    keys = {key: key for key in world_universe(prog)}
+    default = {key: prog.switch_info(key[0]).outcomes[0] for key in keys}
     q_trie = {}
     p_q = []
     p_e = []
     p_qe = []
     leaf_count = 0
-    for q_ok, mass, _path in _leaves(q_trie, prog, query, {}, default):
+    for q_ok, mass, _path in _world_walk(q_trie, prog, query, {}, default, keys):
         leaf_count += 1
         if q_ok:
             p_q.append(mass)
-    for e_ok, mass_e, path in _leaves({}, prog, evidence, {}, default):
+    for e_ok, mass_e, path in _world_walk({}, prog, evidence, {}, default, keys):
         leaf_count += 1
         if not e_ok:
             continue
         p_e.append(mass_e)
-        for q_ok, mass_q, _path in _leaves(q_trie, prog, query, _reads(path), default):
+        for q_ok, mass_q, _path in _world_walk(q_trie, prog, query, _reads(path), default, keys):
             leaf_count += 1
             if q_ok:
                 p_qe.append(mass_e * mass_q)

@@ -455,6 +455,19 @@ def test_looping_program_hits_the_world_step_budget(tmp_path, capsys):
     assert "step budget" in err
 
 
+@pytest.mark.parametrize("method", ["tree", "worlds"])
+def test_exact_refuses_a_goal_that_is_not_ground(method, tmp_path, capsys):
+    base = tmp_path / "fig1"
+    assert run_cli(["genbench", "--family", "fig1", "--out", str(base)]) == 0
+    capsys.readouterr()
+    code = run_cli(["exact", "--program", f"{base}.plp", "--query", "reach(a,X)",
+                    "--evidence", "reach(a,e)", "--method", method])
+    out, err = capsys.readouterr()
+    assert code == 4
+    assert out == ""
+    assert err == "error: goal must be ground: reach(a,X)\n"
+
+
 # -- genbench --------------------------------------------------------------
 
 

@@ -6,8 +6,10 @@ estimates elsewhere.
 """
 
 import functools
+import gc
 import itertools
 import math
+import tracemalloc
 
 import pytest
 from hypothesis import given, settings
@@ -236,6 +238,15 @@ def test_branch_limit(route, monkeypatch):
     case = fig1()
     with pytest.raises(BranchLimitExceeded):
         route(case.program, case.evidence, "true")
+
+
+@pytest.mark.parametrize("route", ROUTES)
+def test_a_goal_that_is_not_ground_is_refused(route):
+    case = fig1()
+    open_goal = parse_goal("reach(a, X)")
+    for query, evidence in [(open_goal, case.evidence), (case.query, open_goal)]:
+        with pytest.raises(EvalError, match=r"^goal must be ground: reach\(a,X\)$"):
+            route(case.program, query, evidence)
 
 
 def test_unsatisfiable_evidence_is_an_error():
@@ -624,6 +635,24 @@ def test_catalogue_world_results_are_pinned():
     results = [(c.name, tuple(exact_conditional_worlds(c.program, c.query, c.evidence)))
                for c in small_benchmarks()]
     assert _digest(results) == "d4bc324d84c9d470"
+
+
+def test_world_route_peaks_at_most_twice_the_tree_route():
+    # both routes free a node's prover state once every outcome has a
+    # child; each peak is of a second call, on a warm program
+    case = gen_bn(3, 3, 2, 0)
+    peak = {}
+    for route in ROUTES:
+        route(case.program, case.query, case.evidence)
+        gc.collect()
+        tracemalloc.start()
+        try:
+            start = tracemalloc.get_traced_memory()[0]
+            route(case.program, case.query, case.evidence)
+            peak[route] = tracemalloc.get_traced_memory()[1] - start
+        finally:
+            tracemalloc.stop()
+    assert peak[exact_conditional_worlds] <= 2 * peak[exact_conditional]
 
 
 # Beyond the catalogue: grids of 2^25 and 2^35 complete worlds and a graph
