@@ -26,6 +26,10 @@ A clause body is a comma-separated list of goals, and each goal is a call to
 a program predicate, `msw/2` or `msw/3`, `true`, or a parenthesised group of
 goals joined by `,` and `;`.  There is no `=`, no comparison and no
 arithmetic: the tokenizer has no token for them.
+
+A text is tokenized by one `findall` pass into token strings.  A ParseError
+names a line and column, found only then by scanning the text again; the end
+of input is at (line -1, column -1).
 """
 
 from __future__ import annotations
@@ -222,6 +226,11 @@ def functor_arity(t):
     raise ProgramError(f"not a callable term: {t!r}")
 
 
+def _functor_key(t):
+    """(functor, arity) of a compound; an atomic term is its own key."""
+    return (t[0], len(t)) if type(t) is tuple else t
+
+
 class SwitchInfo:
     """Resolved outcome list and distribution for one ground switch."""
 
@@ -245,6 +254,8 @@ class Program:
         # ground switch term -> probability tuple
         self.dists = {}
         self._switch_cache = {}
+        # values_decls by the key of their pattern; variable patterns under Var
+        self._values = None
         # the evaluator's compiled clause tables and its per-goal evaluation
         # tries, and the world prover's clause table, built on first use
         self._engine_code = None
@@ -259,8 +270,22 @@ class Program:
         self._world_code = None
 
     def outcomes_for(self, s):
-        """Outcome list for a ground switch from its values declaration."""
-        hits = [outs for pat, outs in self.values_decls if unify(pat, s, {}) is not None]
+        """Outcome list for a ground switch from its values declaration.  Only
+        the patterns with the switch's functor and arity, and the variable
+        patterns, are candidates; they are indexed at the first call, once the
+        parser has filled `values_decls`.  A candidate is unified with the
+        switch unless it is a variable or its arguments are distinct variables,
+        when it matches every switch of its key and is kept as None."""
+        index = self._values
+        if index is None:
+            index = self._values = {}
+            for pat, outs in self.values_decls:
+                args = pat[1:] if type(pat) is tuple else (pat,)
+                free = all(isinstance(a, Var) for a in args) and len(set(args)) == len(args)
+                key = Var if isinstance(pat, Var) else _functor_key(pat)
+                index.setdefault(key, []).append((None if free else pat, outs))
+        cands = index.get(_functor_key(s), []) + index.get(Var, [])
+        hits = [outs for pat, outs in cands if pat is None or unify(pat, s, {}) is not None]
         if not hits:
             raise ProgramError(f"no values declaration matches switch {term_to_str(s)}")
         if len(hits) > 1:
@@ -290,151 +315,140 @@ class Program:
 # Tokenizer / parser
 # ---------------------------------------------------------------------------
 
+# `findall`'s own search passes over whitespace.  A `%` comment matches as a
+# token, dropped when the text has one, and a character that starts no token
+# matches outside the group and reads as "".
 _TOKEN_RE = re.compile(
-    r"""
-      (?P<ws>\s+|%[^\n]*)
-    | (?P<neck>:-)
-    | (?P<num>-?\d+(?:\.\d+)?(?:[eE][-+]?\d+)?)
-    | (?P<atom>[a-z][A-Za-z0-9_]*)
-    | (?P<var>[A-Z_][A-Za-z0-9_]*)
-    | (?P<punct>[()\[\],|;.])
-    | (?P<bad>.)
-    """,
-    re.VERBOSE | re.DOTALL,
+    r"([()\[\],|;.]|[A-Za-z_][A-Za-z0-9_]*|:-|-?\d+(?:\.\d+)?(?:[eE][-+]?\d+)?|%.*)|[^\s%]"
 )
 
 
 class _Parser:
-    """Recursive descent over the (kind, value, offset) tokens of one
-    `finditer` pass; an offset becomes a line and column only in an error."""
+    """Recursive descent over the token strings of one `findall` pass, with
+    "" appended for the end of input (a bad character, also "", is refused
+    first).  A token's kind is read off the string: an atom or a variable by
+    its first character, a number by its last.  Its line and column are found
+    only for an error, by scanning the text again."""
 
     def __init__(self, text):
         self.text = text
-        self.toks = [(m.lastgroup, m.group(), m.start())
-                     for m in _TOKEN_RE.finditer(text) if m.lastgroup != "ws"]
-        for kind, val, off in self.toks:
-            if kind == "bad":
-                raise self.error(f"unexpected character {val!r}", off)
-        self.toks.append(("eof", "", -1))
-        self.i = 0
+        toks = _TOKEN_RE.findall(text)
+        if "%" in text:
+            toks = [t for t in toks if t[:1] != "%"]
+        self.toks = toks
+        toks.append("")
+        k = toks.index("")
+        if k < len(toks) - 1:
+            raise self.error(f"unexpected character {text[self.offset(k)]!r}", k)
 
-    def error(self, message, off):
-        """A ParseError at text offset `off`; end of input (-1) is at (-1, -1)."""
-        if off < 0:
+    def offset(self, k):
+        """The text offset of token k; the end of input is at len(text)."""
+        text = self.text
+        starts = [m.start() for m in _TOKEN_RE.finditer(text) if text[m.start()] != "%"]
+        return starts[k] if k < len(starts) else len(text)
+
+    def error(self, message, k):
+        """A ParseError at token k; the end of input is at (-1, -1)."""
+        if k == len(self.toks) - 1:
             return ParseError(message, -1, -1)
+        off = self.offset(k)
         nl = self.text.rfind("\n", 0, off)
         return ParseError(message, self.text.count("\n", 0, off) + 1, off - nl)
 
-    def peek(self):
-        return self.toks[self.i][1]
-
-    def next(self):
-        tok = self.toks[self.i]
-        self.i += 1
-        return tok
-
-    def expect(self, value):
-        _, val, off = self.next()
-        if val != value:
-            raise self.error(f"expected {value!r}, found {val or 'end of input'!r}", off)
-
     # -- terms ------------------------------------------------------------
 
-    def parse_term(self, varmap, allow_float=False):
-        kind, val, off = self.next()
-        if kind == "num":
-            if "." in val or "e" in val or "E" in val:
-                if not allow_float:
+    def read(self, i, varmap, floats, out, many=True):
+        """Read the terms of a comma-separated run from token i into `out`
+        (only one unless `many`) and return the index after them.  A
+        compound's or a list's items are read by a nested call, so nesting
+        costs one frame per level."""
+        toks = self.toks
+        while True:
+            t = toks[i]
+            i += 1
+            if "a" <= t < "{":
+                if toks[i] == "(":
+                    args = [t]
+                    i = self.close(self.read(i + 1, varmap, floats, args), ")")
+                    t = tuple(args)
+                out.append(t)
+            elif "A" <= t < "[" or "_" <= t < "`":
+                v = Var("_") if t == "_" else varmap.get(t)
+                if v is None:
+                    v = varmap[t] = Var(t)
+                out.append(v)
+            elif t == "[":
+                items, tail = [], [NIL]
+                if toks[i] == "]":
+                    i += 1
+                else:
+                    i = self.read(i, varmap, floats, items)
+                    if toks[i] == "|":
+                        tail = []
+                        i = self.read(i + 1, varmap, floats, tail, False)
+                    i = self.close(i, "]")
+                tail = tail[0]
+                for x in reversed(items):
+                    tail = (".", x, tail)
+                out.append(tail)
+            elif t[-1:].isdigit():
+                if "." not in t and "e" not in t and "E" not in t:
+                    out.append(int(t))
+                elif floats:
+                    out.append(float(t))
+                else:
                     raise self.error(
-                        "float literals are only allowed in set_sw probability lists", off
+                        "float literals are only allowed in set_sw probability lists", i - 1
                     )
-                return float(val)
-            return int(val)
-        if kind == "var":
-            if val == "_":
-                return Var("_")
-            v = varmap.get(val)
-            if v is None:
-                v = Var(val)
-                varmap[val] = v
-            return v
-        if kind == "atom":
-            if self.peek() == "(":
-                # arguments are read here, not by parse_terms, so that a
-                # compound costs one frame per nesting level
-                self.i += 1
-                args = [self.parse_term(varmap, allow_float)]
-                while self.peek() == ",":
-                    self.i += 1
-                    args.append(self.parse_term(varmap, allow_float))
-                self.expect(")")
-                return (val, *args)
-            return val
-        if val == "[":
-            if self.peek() == "]":
-                self.i += 1
-                return NIL
-            items = self.parse_terms(varmap, allow_float)
-            out = NIL
-            if self.peek() == "|":
-                self.i += 1
-                out = self.parse_term(varmap, allow_float)
-            self.expect("]")
-            for x in reversed(items):
-                out = (".", x, out)
-            return out
-        if val == "(":
-            inner = self.parse_group(varmap, allow_float)
-            self.expect(")")
-            return inner
-        raise self.error(f"unexpected token {val or 'end of input'!r}", off)
+            elif t == "(":
+                inner, i = self.group(i, varmap, floats)
+                i = self.close(i, ")")
+                out.append(inner)
+            else:
+                raise self.error(f"unexpected token {t or 'end of input'!r}", i - 1)
+            if not many or toks[i] != ",":
+                return i
+            i += 1
 
-    def parse_terms(self, varmap, allow_float=False):
-        """A comma-separated run of terms: list items, a conjunction or a body."""
-        terms = [self.parse_term(varmap, allow_float)]
-        while self.peek() == ",":
-            self.i += 1
-            terms.append(self.parse_term(varmap, allow_float))
-        return terms
+    def close(self, i, value):
+        """The index after token i, which must be `value`."""
+        if self.toks[i] != value:
+            found = self.toks[i] or "end of input"
+            raise self.error(f"expected {value!r}, found {found!r}", i)
+        return i + 1
 
-    def parse_group(self, varmap, allow_float):
-        """A parenthesized goal group: conjunction, optionally `;` disjunction."""
-        goals = self.parse_terms(varmap, allow_float)
+    def group(self, i, varmap, floats):
+        """A parenthesized goal group: conjunction, optionally `;` disjunction;
+        returns the goal and the index after it."""
+        goals = []
+        i = self.read(i, varmap, floats, goals)
         left = goals.pop()
         while goals:
             left = (",", goals.pop(), left)
-        if self.peek() == ";":
-            self.i += 1
-            right = self.parse_group(varmap, allow_float)
-            return (";", left, right)
-        return left
+        if self.toks[i] == ";":
+            right, i = self.group(i + 1, varmap, floats)
+            return (";", left, right), i
+        return left, i
 
     # -- top level --------------------------------------------------------
 
     def parse_items(self):
-        """Yield ('clause', head, body, offset) | ('directive', term, offset)."""
-        while self.toks[self.i][0] != "eof":
-            _, val, off = self.toks[self.i]
-            varmap = {}
-            if val == ":-":
-                self.i += 1
-                term = self.parse_term(varmap, allow_float=True)
-                self.expect(".")
-                yield ("directive", term, off)
-                continue
-            head = self.parse_term(varmap)
-            _, nval, noff = self.next()
-            if nval == ".":
-                yield ("clause", head, [], off)
-            elif nval == ":-":
-                body = self.parse_terms(varmap)
-                self.expect(".")
-                yield ("clause", head, body, off)
-            else:
-                raise self.error(
-                    f"expected '.' or ':-' after clause head, found {nval or 'end of input'!r}",
-                    noff,
-                )
+        """Yield (directive, head, body, k) per item, k its first token; a
+        directive's term is its head."""
+        toks = self.toks
+        i = 0
+        while toks[i]:
+            k = i
+            directive = toks[i] == ":-"
+            varmap, head, body = {}, [], []
+            i = self.read(i + directive, varmap, directive, head, False)
+            if not directive and toks[i] == ":-":
+                i = self.read(i + 1, varmap, False, body)
+            elif not directive and toks[i] != ".":
+                found = toks[i] or "end of input"
+                raise self.error(f"expected '.' or ':-' after clause head, found {found!r}", i)
+            i = self.close(i, ".")
+            yield directive, head[0], body, k
 
 
 _RESERVED_HEADS = {"msw", "true", ",", ";"}
@@ -459,39 +473,35 @@ def parse_program(text: str) -> Program:
     """Parse program text into a Program.  Deterministic; raises ParseError on
     syntax problems and ProgramError on bad declarations."""
     prog = Program()
-    seen_set_sw = set()
     parser = _Parser(text)
-    for item in parser.parse_items():
-        if item[0] == "directive":
-            _, term, off = item
-            if type(term) is tuple and term[0] == "set_sw" and len(term) == 3:
-                s, problist = term[1], term[2]
+    for directive, head, body, k in parser.parse_items():
+        if directive:
+            if type(head) is tuple and head[0] == "set_sw" and len(head) == 3:
+                s, problist = head[1], head[2]
                 if not is_ground(s):
                     raise ProgramError(f"set_sw switch must be ground: {term_to_str(s)}")
                 probs = term_to_list(problist)
                 if probs is None:
-                    raise parser.error("set_sw expects a probability list", off)
+                    raise parser.error("set_sw expects a probability list", k)
                 try:
-                    probs = [float(p) for p in probs]
+                    probs = tuple(map(float, probs))
                 except (TypeError, ValueError):
-                    raise parser.error("set_sw probabilities must be numbers", off)
-                if s in seen_set_sw:
+                    raise parser.error("set_sw probabilities must be numbers", k)
+                if s in prog.dists:
                     raise ProgramError(f"duplicate set_sw for {term_to_str(s)}")
-                seen_set_sw.add(s)
                 # validated against values declarations once the file is read,
                 # so declaration order does not matter
-                prog.dists[s] = tuple(probs)
+                prog.dists[s] = probs
                 continue
-            raise parser.error("unsupported directive (only set_sw is recognized)", off)
+            raise parser.error("unsupported directive (only set_sw is recognized)", k)
 
-        _, head, body, off = item
         if type(head) is tuple and head[0] == "values" and len(head) == 3:
             if body:
-                raise parser.error("values declaration cannot have a body", off)
+                raise parser.error("values declaration cannot have a body", k)
             pattern, outlist = head[1], head[2]
             outs = term_to_list(outlist)
             if outs is None:
-                raise parser.error("values expects an outcome list", off)
+                raise parser.error("values expects an outcome list", k)
             for o in outs:
                 if not is_ground(o):
                     raise ProgramError(f"values outcomes must be ground: {term_to_str(head)}")
@@ -502,10 +512,10 @@ def parse_program(text: str) -> Program:
 
         name = functor_arity(head)[0] if type(head) in (tuple, str) else None
         if name == "set_sw":
-            raise parser.error("set_sw must be written as a directive:  :- set_sw(...)", off)
+            raise parser.error("set_sw must be written as a directive:  :- set_sw(...)", k)
         if name in _RESERVED_HEADS:
             raise ProgramError(f"cannot define clauses for builtin {name!r}")
-        prog.add_clause(Clause(head, [_normalize_msw(b) for b in body]))
+        prog.add_clause(Clause(head, map(_normalize_msw, body)))
 
     _validate_distributions(prog)
     return prog
@@ -531,10 +541,9 @@ def _validate_distributions(prog):
 def parse_goal(text: str):
     """Parse a single goal term, e.g. from a command-line `--query` string."""
     p = _Parser(text)
-    term = p.parse_group({}, allow_float=False)
-    if p.peek() == ".":
-        p.i += 1
-    kind, val, off = p.next()
-    if kind != "eof":
-        raise p.error(f"trailing input after goal: {val!r}", off)
+    term, i = p.group(0, {}, False)
+    if p.toks[i] == ".":
+        i += 1
+    if p.toks[i]:
+        raise p.error(f"trailing input after goal: {p.toks[i]!r}", i)
     return _normalize_msw(term)

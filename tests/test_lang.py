@@ -1,15 +1,17 @@
 """Parser, term representation and program declarations."""
 
 import hashlib
+import re
 
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import given, settings, strategies as st
 
 from helpers import HEAD_SHAPES_TEXT, MSW_VALUE_TEXT, program_to_str
 from plpmcmc.bench import gen_bn, small_benchmarks
 from plpmcmc.evaluator import _compile_clause
 from plpmcmc.lang import (
     Clause,
+    _Parser,
     ParseError,
     PlpError,
     ProgramError,
@@ -288,9 +290,10 @@ def test_clause_requires_callable_head():
 # -- the front end, pinned ---------------------------------------------------
 #
 # Digests are the first 16 hex digits of a sha256 over a repr, as the engine
-# and chain pins are.  Both were computed before the tokenizer became one
-# `finditer` pass that locates errors from token offsets; any change to a
-# parse result, an error message or an error position changes them.
+# and chain pins are.  Both predate the tokenizer's one-pass forms (a
+# `finditer` pass, then a `findall` pass of token strings that locates an
+# error by scanning the text again); any change to a parse result, an error
+# message or an error position changes them.
 
 
 def _digest(x):
@@ -409,3 +412,98 @@ def test_parse_errors_are_pinned():
     out = [_error(parse_program, t) for t in PROGRAM_ERRORS]
     out += [_error(parse_goal, t) for t in GOAL_ERRORS]
     assert _digest(out) == "17ff0067c42446bf"
+
+
+# -- the tokenizer against the one it replaced -------------------------------
+#
+# The tokenizer before it became one `findall` pass of token strings: one
+# named group per token kind, read with `finditer`, from whose match offsets a
+# bad character's line and column were computed at once.
+_REFERENCE_TOKEN_RE = re.compile(
+    r"""
+      (?P<ws>\s+|%[^\n]*)
+    | (?P<neck>:-)
+    | (?P<num>-?\d+(?:\.\d+)?(?:[eE][-+]?\d+)?)
+    | (?P<atom>[a-z][A-Za-z0-9_]*)
+    | (?P<var>[A-Z_][A-Za-z0-9_]*)
+    | (?P<punct>[()\[\],|;.])
+    | (?P<bad>.)
+    """,
+    re.VERBOSE | re.DOTALL,
+)
+
+
+def _reference_tokens(text):
+    """The reference's token strings, or its error as (message, line, column)."""
+    toks = []
+    for m in _REFERENCE_TOKEN_RE.finditer(text):
+        if m.lastgroup == "bad":
+            off = m.start()
+            line, col = text.count("\n", 0, off) + 1, off - text.rfind("\n", 0, off)
+            return f"unexpected character {m.group()!r} (line {line}, column {col})", line, col
+        if m.lastgroup != "ws":
+            toks.append(m.group())
+    return toks
+
+
+def _tokens(text):
+    try:
+        return _Parser(text).toks[:-1]
+    except ParseError as e:
+        return str(e), e.line, e.col
+
+
+LEXEMES = st.sampled_from([
+    "p", "reach", "X", "Foo_1", "_", "_x", "abc3", "-1", "2.5e3", "0.5", "7", "1.", "1e",
+    "2e+", "-", ":", ":-", "(", ")", "[", "]", ",", "|", ";", ".", " ", "\t", "\n", "\r",
+    "\r\n", "% c & \u00e9 $\n", "% no newline \u00e9", "\u00e9", "&", "%",
+])
+
+
+@settings(max_examples=500, deadline=None)
+@given(st.lists(LEXEMES, max_size=30).map("".join))
+def test_tokenizer_matches_the_finditer_reference(text):
+    assert _tokens(text) == _reference_tokens(text)
+
+
+# -- values lookup against a scan of every pattern ---------------------------
+
+
+def _scan_outcomes(prog, s):
+    """`Program.outcomes_for` as it was: unify every values pattern."""
+    hits = [outs for pat, outs in prog.values_decls if unify(pat, s, {}) is not None]
+    if not hits:
+        raise ProgramError(f"no values declaration matches switch {term_to_str(s)}")
+    if len(hits) > 1:
+        raise ProgramError(f"overlapping values declarations match switch {term_to_str(s)}")
+    return hits[0]
+
+
+def _outcome(lookup, s):
+    try:
+        return lookup(s)
+    except ProgramError as e:
+        return str(e)
+
+
+def _compounds(functors, args):
+    return st.tuples(st.sampled_from(functors), st.lists(args, min_size=1, max_size=3)).map(
+        lambda fa: f"{fa[0]}({','.join(fa[1])})"
+    )
+
+
+# atoms, an integer, variables, and compounds of arity 1-3 whose arguments
+# may repeat a variable (`f(X,X)`) or nest a compound
+PATTERN_ARGS = st.sampled_from(["a", "b", "1", "_", "X", "Y", "g(X)", "g(a)"])
+PATTERNS = st.one_of(st.sampled_from(["a", "b", "3", "X", "_"]),
+                     _compounds(["f", "g"], PATTERN_ARGS))
+SWITCHES = st.one_of(st.sampled_from(["a", "b", "c", "3", "4"]),
+                     _compounds(["f", "g", "h"], st.sampled_from(["a", "b", "1", "g(a)", "g(b)"])))
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.lists(PATTERNS, max_size=6), st.lists(SWITCHES, min_size=1, max_size=8))
+def test_outcomes_for_matches_a_scan_of_every_pattern(patterns, switches):
+    prog = parse_program("".join(f"values({p}, [o{k}]).\n" for k, p in enumerate(patterns)))
+    for s in map(parse_goal, switches):
+        assert _outcome(prog.outcomes_for, s) == _outcome(lambda s: _scan_outcomes(prog, s), s)
