@@ -28,8 +28,8 @@ goals joined by `,` and `;`.  There is no `=`, no comparison and no
 arithmetic: the tokenizer has no token for them.
 
 A text is tokenized by one `findall` pass into token strings.  A ParseError
-names a line and column, found only then by scanning the text again; the end
-of input is at (line -1, column -1).
+names a line and column, found only then by scanning the text again; at the
+end of input they are just past the last character.
 """
 
 from __future__ import annotations
@@ -348,9 +348,8 @@ class _Parser:
         return starts[k] if k < len(starts) else len(text)
 
     def error(self, message, k):
-        """A ParseError at token k; the end of input is at (-1, -1)."""
-        if k == len(self.toks) - 1:
-            return ParseError(message, -1, -1)
+        """A ParseError at token k; the end of input is just past the last
+        character."""
         off = self.offset(k)
         nl = self.text.rfind("\n", 0, off)
         return ParseError(message, self.text.count("\n", 0, off) + 1, off - nl)

@@ -290,10 +290,12 @@ def test_clause_requires_callable_head():
 # -- the front end, pinned ---------------------------------------------------
 #
 # Digests are the first 16 hex digits of a sha256 over a repr, as the engine
-# and chain pins are.  Both predate the tokenizer's one-pass forms (a
-# `finditer` pass, then a `findall` pass of token strings that locates an
-# error by scanning the text again); any change to a parse result, an error
-# message or an error position changes them.
+# and chain pins are.  The parse pin predates the tokenizer's one-pass forms
+# (a `finditer` pass, then a `findall` pass of token strings that locates an
+# error by scanning the text again).  The error pin last moved when an
+# end-of-input error began to name the line and column just past the last
+# character.  Any change to a parse result, an error message or an error
+# position changes them.
 
 
 def _digest(x):
@@ -411,7 +413,21 @@ def _error(reader, text):
 def test_parse_errors_are_pinned():
     out = [_error(parse_program, t) for t in PROGRAM_ERRORS]
     out += [_error(parse_goal, t) for t in GOAL_ERRORS]
-    assert _digest(out) == "17ff0067c42446bf"
+    assert _digest(out) == "dbef5cc36fcab151"
+
+
+@pytest.mark.parametrize("reader, text, line, col", [
+    (parse_program, "values(c,[h,t]).\np(a, b", 2, 7),
+    (parse_program, "p :- q\n", 2, 1),
+    (parse_program, "p :- q % no newline", 1, 20),
+    (parse_goal, "", 1, 1),
+    (parse_goal, "p(a,\r\n\tb", 2, 3),
+])
+def test_end_of_input_is_just_past_the_last_character(reader, text, line, col):
+    with pytest.raises(ParseError, match="end of input") as ei:
+        reader(text)
+    assert (ei.value.line, ei.value.col) == (line, col)
+    assert str(ei.value).endswith(f"(line {line}, column {col})")
 
 
 # -- the tokenizer against the one it replaced -------------------------------
