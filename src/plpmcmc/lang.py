@@ -349,10 +349,9 @@ class _Parser:
 
     def error(self, message, k):
         """A ParseError at token k; the end of input is just past the last
-        character."""
-        off = self.offset(k)
-        nl = self.text.rfind("\n", 0, off)
-        return ParseError(message, self.text.count("\n", 0, off) + 1, off - nl)
+        character.  A CRLF, a bare CR and an LF each end one line."""
+        head = self.text[:self.offset(k)].replace("\r\n", "\n").replace("\r", "\n")
+        return ParseError(message, head.count("\n") + 1, len(head) - head.rfind("\n"))
 
     # -- terms ------------------------------------------------------------
 

@@ -170,6 +170,11 @@ def test_parse_error_carries_position():
     with pytest.raises(ParseError) as ei:
         parse_program("p :- q\nr.")
     assert ei.value.line == 2
+    # an LF, a CRLF and a bare CR each end one line
+    for text in ("p.\nq :- @.", "p.\r\nq :- @.", "p.\rq :- @."):
+        with pytest.raises(ParseError) as ei:
+            parse_program(text)
+        assert (ei.value.line, ei.value.col) == (2, 6), repr(text)
 
 
 def test_parse_goal_conjunction_and_trailing_dot():
@@ -292,10 +297,9 @@ def test_clause_requires_callable_head():
 # Digests are the first 16 hex digits of a sha256 over a repr, as the engine
 # and chain pins are.  The parse pin predates the tokenizer's one-pass forms
 # (a `finditer` pass, then a `findall` pass of token strings that locates an
-# error by scanning the text again).  The error pin last moved when an
-# end-of-input error began to name the line and column just past the last
-# character.  Any change to a parse result, an error message or an error
-# position changes them.
+# error by scanning the text again).  The error pin last moved when a bare
+# CR began to end a line, as a CRLF and an LF do.  Any change to a parse
+# result, an error message or an error position changes them.
 
 
 def _digest(x):
@@ -413,7 +417,7 @@ def _error(reader, text):
 def test_parse_errors_are_pinned():
     out = [_error(parse_program, t) for t in PROGRAM_ERRORS]
     out += [_error(parse_goal, t) for t in GOAL_ERRORS]
-    assert _digest(out) == "dbef5cc36fcab151"
+    assert _digest(out) == "5415ffdb25e2bfff"
 
 
 @pytest.mark.parametrize("reader, text, line, col", [
@@ -422,6 +426,7 @@ def test_parse_errors_are_pinned():
     (parse_program, "p :- q % no newline", 1, 20),
     (parse_goal, "", 1, 1),
     (parse_goal, "p(a,\r\n\tb", 2, 3),
+    (parse_goal, "p(a,\r\tb", 2, 3),
 ])
 def test_end_of_input_is_just_past_the_last_character(reader, text, line, col):
     with pytest.raises(ParseError, match="end of input") as ei:
@@ -434,7 +439,8 @@ def test_end_of_input_is_just_past_the_last_character(reader, text, line, col):
 #
 # The tokenizer before it became one `findall` pass of token strings: one
 # named group per token kind, read with `finditer`, from whose match offsets a
-# bad character's line and column were computed at once.
+# bad character's line and column were computed at once (here with a bare CR
+# ending a line, as the parser now counts it).
 _REFERENCE_TOKEN_RE = re.compile(
     r"""
       (?P<ws>\s+|%[^\n]*)
@@ -454,8 +460,8 @@ def _reference_tokens(text):
     toks = []
     for m in _REFERENCE_TOKEN_RE.finditer(text):
         if m.lastgroup == "bad":
-            off = m.start()
-            line, col = text.count("\n", 0, off) + 1, off - text.rfind("\n", 0, off)
+            head = text[:m.start()].replace("\r\n", "\n").replace("\r", "\n")
+            line, col = head.count("\n") + 1, len(head) - head.rfind("\n")
             return f"unexpected character {m.group()!r} (line {line}, column {col})", line, col
         if m.lastgroup != "ws":
             toks.append(m.group())
