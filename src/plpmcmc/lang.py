@@ -319,7 +319,7 @@ class Program:
 # token, dropped when the text has one, and a character that starts no token
 # matches outside the group and reads as "".
 _TOKEN_RE = re.compile(
-    r"([()\[\],|;.]|[A-Za-z_][A-Za-z0-9_]*|:-|-?\d+(?:\.\d+)?(?:[eE][-+]?\d+)?|%.*)|[^\s%]"
+    r"([()\[\],|;.]|[A-Za-z_][A-Za-z0-9_]*|:-|-?[0-9]+(?:\.[0-9]+)?(?:[eE][-+]?[0-9]+)?|%.*)|[^\s%]"
 )
 
 

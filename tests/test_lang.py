@@ -177,6 +177,15 @@ def test_parse_error_carries_position():
         assert (ei.value.line, ei.value.col) == (2, 6), repr(text)
 
 
+def test_numbers_are_ascii_digits_only():
+    # identifiers are ASCII, and so are numbers: an Arabic-Indic three is a
+    # character that starts no token, not the integer 3
+    with pytest.raises(ParseError, match="unexpected character") as ei:
+        parse_goal("p(\u0663)")
+    assert str(ei.value) == "unexpected character '\u0663' (line 1, column 3)"
+    assert parse_goal("p(3)") == ("p", 3)
+
+
 def test_parse_goal_conjunction_and_trailing_dot():
     g = parse_goal("p(a), q(b).")
     assert g == (",", ("p", "a"), ("q", "b"))
