@@ -262,7 +262,8 @@ def _cmd_exact(args) -> int:
     prog, query, evidence = _inputs(args)
     fn = exact_conditional if args.method == "tree" else exact_conditional_worlds
     res = fn(prog, query, evidence)
-    print(f"p_query: {res.p_query!r}")
+    p_query = (res if evidence == "true" else fn(prog, query, "true")).p_joint
+    print(f"p_query: {p_query!r}")
     print(f"p_evidence: {res.p_evidence!r}")
     print(f"p_joint: {res.p_joint!r}")
     print(f"p_conditional: {res.p_conditional!r}")
@@ -271,7 +272,7 @@ def _cmd_exact(args) -> int:
         with open(args.csv, "w", encoding="utf-8", newline="") as fh:
             fh.write("p_query,p_evidence,p_joint,p_conditional,leaf_count\n")
             fh.write(
-                f"{res.p_query!r},{res.p_evidence!r},{res.p_joint!r},"
+                f"{p_query!r},{res.p_evidence!r},{res.p_joint!r},"
                 f"{res.p_conditional!r},{res.leaf_count}\n"
             )
     return 0

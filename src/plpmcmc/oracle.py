@@ -5,7 +5,9 @@ decision trie (PRISM's explanation search, Sato & Kameya 2001): a proof is
 a deterministic function of the values its switch instances take at their
 first reads, so each route proves once per read path, resuming a new branch
 from the state its prover kept where the branch leaves the trie
-(recomputation from a checkpoint, Schulte 1999).
+(recomputation from a checkpoint, Schulte 1999).  Each route walks the query
+only below the evidence's successes; P(query) is the `p_joint` of evidence
+`true`, whose walk is one leaf.
 
 1. Evaluation-tree enumeration (`exact_conditional`): the first-derivation
    evaluator's `run_first`, resumed from its checkpoints.  Its outputs are
@@ -53,22 +55,20 @@ class BranchLimitExceeded(PlpError):
 
 
 class ExactResult(NamedTuple):
-    p_query: float
     p_evidence: float
     p_joint: float
     p_conditional: float
     leaf_count: int
 
 
-def _exact_result(q_terms, e_terms, qe_terms, leaf_count, evidence) -> ExactResult:
-    """Sum each route's probability terms of the query, evidence and joint
-    successes into an ExactResult."""
+def _exact_result(e_terms, qe_terms, leaf_count, evidence) -> ExactResult:
+    """Sum each route's probability terms of the evidence and joint successes
+    into an ExactResult."""
     p_evidence = math.fsum(e_terms)
     if p_evidence == 0.0:
         raise EvalError(f"evidence {term_to_str(evidence)} is unsatisfiable")
     p_joint = math.fsum(qe_terms)
-    return ExactResult(math.fsum(q_terms), p_evidence, p_joint, p_joint / p_evidence,
-                       leaf_count)
+    return ExactResult(p_evidence, p_joint, p_joint / p_evidence, leaf_count)
 
 
 def _reads(path):
@@ -93,12 +93,13 @@ def _walk(trie, prog: Program, goal, fixed, extend):
     by its declared probability.  `path` is the leaf's reads as a linked
     (key, value, rest) list, last read first, and `mass` the product of its
     weights from 1.0 in read order.  A missing branch calls `extend(state,
-    path)` once, with the state of the node above it (None in an empty
-    trie): it runs the route's prover from there and returns its answer and
-    its new reads as (key, value, state) triples, which are inserted below
-    and walked, so each read path is proved once per trie.  A node drops its
-    state once every outcome has a child.  Raises EvalError for a goal that
-    is not ground, and BranchLimitExceeded after DEFAULT_BRANCH_LIMIT leaves.
+    path)` once, with the state of the node above it (None in an empty trie
+    or where the node keeps none): it runs the route's prover from there and
+    returns its answer and its new reads as (key, value, state) triples,
+    which are inserted below and walked, so each read path is proved once
+    per trie.  A node drops its state once every outcome has a child.
+    Raises EvalError for a goal that is not ground, and BranchLimitExceeded
+    after DEFAULT_BRANCH_LIMIT leaves.
     """
     if not is_ground(goal):
         raise EvalError(f"goal must be ground: {term_to_str(goal)}")
@@ -189,11 +190,12 @@ def iter_eval_leaves(prog: Program, goal, base, trie=None):
 def exact_conditional(prog: Program, query, evidence) -> ExactResult:
     """Exact ExactResult for cond(query | evidence).
 
-    The joint explores evidence first, then continues the query enumeration
-    from each evidence-success leaf so shared switches stay shared.  All the
-    query's walks share one trie, so each of its consult paths runs once.
-    An evidence or query term is its leaf's mass, which is `prob` of its
-    assignment, and a joint term `prob` of the two assignments merged.
+    The evidence's leaves are walked, and below each evidence success the
+    query's leaves on the evidence's assignment, so shared switches stay
+    shared.  All the query's walks share one trie, so each of its consult
+    paths runs once.  An evidence term is its leaf's mass, which is `prob`
+    of its assignment, and a joint term `prob` of the two assignments
+    merged.
     """
     q_trie = {}
     p_e_terms = []
@@ -209,12 +211,7 @@ def exact_conditional(prog: Program, query, evidence) -> ExactResult:
             leaf_count += 1
             if ok_q:
                 p_joint_terms.append(prob({**sig_e, **sig_q}, prog))
-    p_query_terms = []
-    for ok_q, mass_q, _path in _tree_walk(q_trie, prog, query, {}):
-        leaf_count += 1
-        if ok_q:
-            p_query_terms.append(mass_q)
-    return _exact_result(p_query_terms, p_e_terms, p_joint_terms, leaf_count, evidence)
+    return _exact_result(p_e_terms, p_joint_terms, leaf_count, evidence)
 
 
 # ---------------------------------------------------------------------------
@@ -406,12 +403,17 @@ def _world_walk(trie, prog: Program, goal, fixed, default, keys):
     the world `default` overridden by `fixed` and the path's reads: the
     proof agrees with the node's proof on every earlier read, so this is the
     proof from the goal, step for step.  A node keeps the program's key from
-    `keys` (each world key to itself), not each proof's fresh copy of it."""
+    `keys` (each world key to itself), not each proof's fresh copy of it.
+
+    A node at a key in `fixed` keeps no snapshot: this walk follows one value
+    there, so the node would never fill and free it.  A later walk that fixes
+    another value proves that branch from the goal, in the world of its
+    path's reads, which is the same proof, step for step."""
     def extend(start, path):
         read = _reads(path)
         marks = {}
         ok = holds_in_world(prog, goal, {**default, **fixed, **read}, read, marks, start)
-        return ok, [(keys[key], read[key], snapshot) for key, snapshot in marks.items()]
+        return ok, [(keys[k], read[k], None if k in fixed else snap) for k, snap in marks.items()]
 
     return _walk(trie, prog, goal, fixed, extend)
 
@@ -420,24 +422,19 @@ def exact_conditional_worlds(prog: Program, query, evidence) -> ExactResult:
     """Exact ExactResult for cond(query | evidence) by summing over complete
     worlds, grouped by the read paths of the world prover (`_world_walk`).
 
-    Each goal keeps one read trie for the call.  The query's leaves are
-    summed first, which fills its trie; then the evidence's, and below each
-    evidence success the query's leaves that agree with the evidence's
-    reads, each joint term the product of the two masses.  A proof that
-    raises ends the call.  `leaf_count` is the number of leaves summed,
-    which is the tree route's.
+    Each goal keeps one read trie for the call.  The evidence's leaves are
+    summed, and below each evidence success the query's leaves that agree
+    with the evidence's reads, each joint term the product of the two
+    masses, so the query's trie grows only along the evidence's read paths.
+    A proof that raises ends the call.  `leaf_count` is the number of leaves
+    summed, which is the tree route's.
     """
     keys = {key: key for key in world_universe(prog)}
     default = {key: prog.switch_info(key[0]).outcomes[0] for key in keys}
     q_trie = {}
-    p_q = []
     p_e = []
     p_qe = []
     leaf_count = 0
-    for q_ok, mass, _path in _world_walk(q_trie, prog, query, {}, default, keys):
-        leaf_count += 1
-        if q_ok:
-            p_q.append(mass)
     for e_ok, mass_e, path in _world_walk({}, prog, evidence, {}, default, keys):
         leaf_count += 1
         if not e_ok:
@@ -447,4 +444,4 @@ def exact_conditional_worlds(prog: Program, query, evidence) -> ExactResult:
             leaf_count += 1
             if q_ok:
                 p_qe.append(mass_e * mass_q)
-    return _exact_result(p_q, p_e, p_qe, leaf_count, evidence)
+    return _exact_result(p_e, p_qe, leaf_count, evidence)

@@ -315,6 +315,12 @@ def parse_exact_output(out):
     return vals
 
 
+def _exact_text(capsys, *args):
+    """`exact`'s stdout lines, by name, as printed."""
+    assert run_cli(["exact", *args]) == 0
+    return dict(line.split(": ") for line in capsys.readouterr()[0].strip().splitlines())
+
+
 def test_exact_methods_agree(prog_path, tmp_path, capsys):
     assert run_cli([
         "exact", "--program", prog_path, "--query", "q", "--evidence", "e",
@@ -330,16 +336,20 @@ def test_exact_methods_agree(prog_path, tmp_path, capsys):
     for k in ("p_query", "p_evidence", "p_joint", "p_conditional"):
         assert tree[k] == pytest.approx(worlds[k], abs=1e-12)
 
+    # p_query is the marginal, bit for bit: the p_joint of evidence `true`,
+    # on stdout and in the CSV
     csv_path = tmp_path / "exact.csv"
-    assert run_cli([
-        "exact", "--program", prog_path, "--query", "q", "--evidence", "e",
-        "--csv", str(csv_path),
-    ]) == 0
-    capsys.readouterr()
-    lines = csv_path.read_text(encoding="utf-8").splitlines()
-    assert lines[0] == "p_query,p_evidence,p_joint,p_conditional,leaf_count"
-    row = lines[1].split(",")
-    assert float(row[1]) == pytest.approx(0.18, abs=1e-12)
+    for method in ("tree", "worlds"):
+        inputs = ["--program", prog_path, "--query", "q", "--method", method]
+        marginal = _exact_text(capsys, *inputs, "--evidence", "true")
+        assert marginal["p_query"] == marginal["p_joint"]
+        out = _exact_text(capsys, *inputs, "--evidence", "e", "--csv", str(csv_path))
+        assert out["p_query"] == marginal["p_joint"], method
+        lines = csv_path.read_text(encoding="utf-8").splitlines()
+        assert lines[0] == "p_query,p_evidence,p_joint,p_conditional,leaf_count"
+        row = lines[1].split(",")
+        assert row[0] == marginal["p_joint"], method
+        assert float(row[1]) == pytest.approx(0.18, abs=1e-12)
 
 
 DEEP_HEAD = "values(x, [t, f]).\n:- set_sw(x, [0.5, 0.5]).\n"
@@ -513,9 +523,11 @@ def test_exact_worlds_answers_a_generated_grid(tmp_path, capsys):
     worlds = parse_exact_output(capsys.readouterr()[0])
     case = gen_bn(3, 3, 2, 0)
     tree = exact_conditional(case.program, case.query, case.evidence)
-    for k in ("p_query", "p_evidence", "p_joint", "p_conditional"):
+    for k in ("p_evidence", "p_joint", "p_conditional"):
         assert worlds[k] == pytest.approx(getattr(tree, k), abs=1e-12)
-    assert worlds["leaf_count"] == tree.leaf_count == 676
+    p_query = exact_conditional(case.program, case.query, "true").p_joint
+    assert worlds["p_query"] == pytest.approx(p_query, abs=1e-12)
+    assert worlds["leaf_count"] == tree.leaf_count == 164
 
 
 def test_genbench_bad_params_exit_2(tmp_path, capsys):

@@ -373,9 +373,9 @@ c :- msw(x, t), occ(W, f(W)), p(f(W, V)).
 
 @pytest.mark.parametrize("route", [exact_conditional, exact_conditional_worlds])
 def test_repeated_head_variables_keep_the_occurs_check(route):
-    assert route(OCCURS, "a", "true").p_query == 0.0
-    assert route(OCCURS, "b", "true").p_query == 0.0
-    assert route(OCCURS, "c", "true").p_query == 0.5
+    assert route(OCCURS, "a", "true").p_joint == 0.0
+    assert route(OCCURS, "b", "true").p_joint == 0.0
+    assert route(OCCURS, "c", "true").p_joint == 0.5
 
 
 def test_a_float_or_bool_key_does_not_match_an_int_head():
