@@ -7,7 +7,7 @@ first reads, so each route proves once per read path, resuming a new branch
 from the state its prover kept where the branch leaves the trie
 (recomputation from a checkpoint, Schulte 1999).  Each route walks the query
 only below the evidence's successes; P(query) is the `p_joint` of evidence
-`true`, whose walk is one leaf.
+`true`, whose evidence walk is one leaf.
 
 1. Evaluation-tree enumeration (`exact_conditional`): the first-derivation
    evaluator's `run_first`, resumed from its checkpoints.  Its outputs are
